@@ -10,12 +10,14 @@ the composition estimator and ratio observer into the loop:
     -> mismatch check (maybe drop the aggregate) -> observer update
     -> rebuild loss weights for the next round -> record metrics
 
-Clients run in ascending id order and every random stream is derived from
-the master seed, so runs are fully deterministic.
+A round's selected clients train in lockstep as one stacked tensor program,
+each on its own rng stream, and every random stream is derived from the
+master seed, so runs are fully deterministic.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -166,51 +168,100 @@ def select_clients(num_clients: int, rate: float, round_index: int, seed) -> lis
 
 
 def local_update(
-    client_id: int,
-    features: Array,
-    labels: Array,
+    client_id: int | Sequence[int],
+    features: Array | Sequence[Array],
+    labels: Array | Sequence[Array],
     global_model: MlpModel,
     config: FlConfig,
     loss_spec: LossSpec,
     seed,
-) -> ClientUpdate | None:
+) -> ClientUpdate | None | list[ClientUpdate]:
     """E epochs of mini-batch SGD from the broadcast weights.
 
-    The final partial batch is kept. fedprox adds prox_mu * (w - w_global)
-    to each weight gradient. Returns None for an empty slice (the caller
-    reports and skips the client).
+    Called with one client (an int id, its feature matrix, labels and seed)
+    it returns that client's ClientUpdate, or None for an empty slice (the
+    caller reports and skips the client). Called with parallel sequences of
+    ids, feature matrices, label vectors and seeds it returns one update per
+    non-empty client, in the given order. Either way the clients train in
+    lockstep on one stacked model, (K, fan_in, fan_out) per layer, one
+    forward/loss/backward/step call per step for all of them; the single
+    client is the case K = 1.
+
+    Each client draws a fresh permutation per epoch from its own seed and
+    keeps its final partial batch. A row mask pads the short batches to
+    batch_size, and a step mask freezes a client once it has taken its
+    local_epochs * ceil(n / batch_size) steps. fedprox adds
+    prox_mu * (w - w_global) to each weight gradient.
     """
-    n = len(labels)
-    if n == 0:
-        return None
-    model = global_model.copy()
-    opt = OptState.for_model(model, lr=config.lr, momentum=config.momentum)
-    rng = np.random.default_rng(seed)
-    prox = config.strategy == "fedprox" and config.prox_mu > 0.0
-    steps = 0
-    loss_total = 0.0
-    for _ in range(config.local_epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, config.batch_size):
-            batch = order[start : start + config.batch_size]
-            acts = forward(model, features[batch])
-            loss, grad_logits = compute_loss(acts, labels[batch], loss_spec)
-            grads = backward(model, acts, grad_logits)
-            if prox:
-                for i in range(len(model.weights)):
-                    grads.weight_grads[i] += config.prox_mu * (
-                        model.weights[i] - global_model.weights[i]
-                    )
-            sgd_step(model, grads, opt)
-            steps += 1
-            loss_total += loss
-    return ClientUpdate(
-        client_id=client_id,
-        model=model,
-        sample_count=n,
-        local_steps=steps,
-        train_loss=loss_total / steps,
+    if np.ndim(client_id) == 0:
+        updates = local_update(
+            [client_id], [features], [labels], global_model, config, loss_spec, [seed]
+        )
+        return updates[0] if updates else None
+
+    clients = [
+        (cid, np.asarray(x, dtype=float), np.asarray(y, dtype=int), s)
+        for cid, x, y, s in zip(client_id, features, labels, seed, strict=True)
+        if len(y) > 0
+    ]
+    if not clients:
+        return []
+    ids, client_features, client_labels, seeds = zip(*clients)
+    k_total = len(clients)
+    batch = config.batch_size
+    sizes = np.array([len(y) for y in client_labels])
+    per_epoch = -(-sizes // batch)
+    steps = config.local_epochs * per_epoch
+    # order[k, t] lists client k's rows for step t; -1 marks padding.
+    order = np.full((k_total, steps.max() * batch), -1)
+    for k, client_seed in enumerate(seeds):
+        rng = np.random.default_rng(client_seed)
+        slots = per_epoch[k] * batch
+        for e in range(config.local_epochs):
+            order[k, e * slots : e * slots + sizes[k]] = rng.permutation(sizes[k])
+    order = order.reshape(k_total, -1, batch)
+    row_mask = order >= 0
+    # A padded slot repeats its batch's first row, which the row mask drops.
+    order = np.where(row_mask, order, np.maximum(order[:, :, :1], 0))
+    rows = order + (np.cumsum(sizes) - sizes)[:, None, None]
+    all_features = np.concatenate(client_features)
+    all_labels = np.concatenate(client_labels)
+
+    model = MlpModel(
+        layer_sizes=list(global_model.layer_sizes),
+        weights=[np.repeat(w[None], k_total, axis=0) for w in global_model.weights],
+        biases=[np.repeat(b[None], k_total, axis=0) for b in global_model.biases],
     )
+    opt = OptState.for_model(model, lr=config.lr, momentum=config.momentum)
+    prox = config.strategy == "fedprox" and config.prox_mu > 0.0
+    loss_total = np.zeros(k_total)
+    for t in range(steps.max()):
+        step_rows = rows[:, t]
+        acts = forward(model, all_features[step_rows])
+        loss, grad_logits = compute_loss(acts, all_labels[step_rows], loss_spec, row_mask[:, t])
+        grads = backward(model, acts, grad_logits)
+        if prox:
+            for i in range(len(model.weights)):
+                grads.weight_grads[i] += config.prox_mu * (
+                    model.weights[i] - global_model.weights[i]
+                )
+        active = steps > t
+        sgd_step(model, grads, opt, None if active.all() else active)
+        loss_total += loss  # a client with no rows left this step adds 0
+    return [
+        ClientUpdate(
+            client_id=cid,
+            model=MlpModel(
+                layer_sizes=list(model.layer_sizes),
+                weights=[w[k] for w in model.weights],
+                biases=[b[k] for b in model.biases],
+            ),
+            sample_count=int(sizes[k]),
+            local_steps=int(steps[k]),
+            train_loss=float(loss_total[k] / steps[k]),
+        )
+        for k, cid in enumerate(ids)
+    ]
 
 
 def aggregate(updates: list[ClientUpdate], global_model: MlpModel, strategy: str) -> MlpModel:
@@ -351,23 +402,17 @@ class FederatedRunner:
         selected = select_clients(
             self.config.num_clients, self.config.selection_rate, j, self.seed
         )
-        updates: list[ClientUpdate] = []
-        round_labels: list[Array] = []
-        for cid in selected:
-            scope = self._client_scope(self.clients[cid], j)
-            update = local_update(
-                cid,
-                scope.features,
-                scope.labels,
-                self.model,
-                self.config,
-                self.loss_spec,
-                derive_seed(self.seed, _STREAM_CLIENT, j, cid),
-            )
-            if update is None:
-                continue
-            updates.append(update)
-            round_labels.append(scope.labels)
+        scopes = [self._client_scope(self.clients[cid], j) for cid in selected]
+        round_labels = [scope.labels for scope in scopes]
+        updates = local_update(
+            selected,
+            [scope.features for scope in scopes],
+            round_labels,
+            self.model,
+            self.config,
+            self.loss_spec,
+            [derive_seed(self.seed, _STREAM_CLIENT, j, cid) for cid in selected],
+        )
 
         estimated = round_ratio = observer_ratio = None
         t_round = t_global = drop_similarity = None

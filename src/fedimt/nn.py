@@ -7,7 +7,11 @@ The last linear layer's weights and gradients are exposed explicitly because
 the composition-ratio estimator reads them.
 
 Everything operates on float64 numpy arrays and is deterministic given the
-seed and inputs.
+seed and inputs. forward, compute_loss, backward and sgd_step also accept a
+stacked model whose weights carry a leading client axis, (K, fan_in, fan_out),
+with batches shaped (K, B, d): K clients then train in lockstep, one call per
+step for all of them, and the plain 2-D model is the same code without that
+axis.
 """
 
 from __future__ import annotations
@@ -23,7 +27,8 @@ LOSS_KINDS = ("plain_ce", "class_balanced", "focal")
 
 @dataclass
 class MlpModel:
-    """Fully connected network; weights[i] has shape (fan_in, fan_out)."""
+    """Fully connected network; weights[i] has shape (fan_in, fan_out), or
+    (K, fan_in, fan_out) with biases (K, fan_out) for K stacked clients."""
 
     layer_sizes: list[int]
     weights: list[Array]
@@ -32,11 +37,6 @@ class MlpModel:
     @property
     def num_classes(self) -> int:
         return self.layer_sizes[-1]
-
-    @property
-    def last_hidden_size(self) -> int:
-        """Width of the input to the final linear layer."""
-        return self.layer_sizes[-2]
 
     def copy(self) -> "MlpModel":
         return MlpModel(
@@ -63,10 +63,6 @@ class Gradients:
 
     weight_grads: list[Array]
     bias_grads: list[Array]
-
-    @property
-    def last_layer_grad(self) -> Array:
-        return self.weight_grads[-1]
 
 
 @dataclass
@@ -147,29 +143,33 @@ def mlp_init(layer_sizes: list[int], seed: int) -> MlpModel:
 
 
 def softmax(logits: Array) -> Array:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / exp.sum(axis=1, keepdims=True)
-
-
-def log_softmax(logits: Array) -> Array:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    exp = logits - logits.max(axis=-1, keepdims=True)
+    np.exp(exp, out=exp)
+    exp /= exp.sum(axis=-1, keepdims=True)
+    return exp
 
 
 def forward(model: MlpModel, batch: Array) -> Activations:
-    """Run the network on a (batch, input_dim) matrix."""
+    """Run the network on a (batch, input_dim) matrix, or a stacked model on
+    a (K, batch, input_dim) stack."""
     batch = np.asarray(batch, dtype=float)
-    if batch.ndim != 2 or batch.shape[1] != model.layer_sizes[0]:
+    w0 = model.weights[0]
+    if (
+        batch.ndim != w0.ndim
+        or batch.shape[:-2] != w0.shape[:-2]
+        or batch.shape[-1] != model.layer_sizes[0]
+    ):
         raise ValueError(
-            f"batch shape {batch.shape} does not match input width {model.layer_sizes[0]}"
+            f"batch shape {batch.shape} does not match first-layer weights {w0.shape}"
         )
     outputs = []
     h = batch
     last = len(model.weights) - 1
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = h @ w + b
-        h = z if i == last else np.maximum(z, 0.0)
+        h = h @ w
+        h += b[..., None, :]
+        if i < last:
+            np.maximum(h, 0.0, out=h)
         outputs.append(h)
     logits = outputs[-1]
     hidden = outputs[-2] if len(outputs) >= 2 else batch
@@ -196,52 +196,63 @@ def _class_weights(spec: LossSpec, num_classes: int) -> Array:
     return effective_number_weight(spec.per_class_n, spec.beta)
 
 
-def compute_loss(acts: Activations, labels: Array, spec: LossSpec) -> tuple[float, Array]:
+def compute_loss(
+    acts: Activations, labels: Array, spec: LossSpec, mask: Array | None = None
+) -> tuple[float | Array, Array]:
     """Return (loss, grad_logits) where grad_logits = d loss / d logits.
 
-    The loss is mean-reduced over the batch, and grad_logits carries the
-    1/batch factor, so backward() applies the plain chain rule.
+    The loss is the mean over the batch rows, and grad_logits carries the
+    1/rows factor, so backward() applies the plain chain rule. On stacked
+    activations labels is (K, B) and the loss is an array of K per-client
+    means. mask, shaped like labels, marks the rows that count: the others
+    get a zero gradient and stay out of the mean, and a client with no rows
+    left reads a loss of 0. The spec and the labels are checked once per
+    call, and one call covers every client of a lockstep step.
+
+    The log-probabilities are taken from the forward pass's softmax, floored
+    at 1e-300, so a sample's loss term is capped at -log(1e-300) ~ 690.8.
     """
+    probs = acts.probabilities
+    q = probs.shape[-1]
     labels = np.asarray(labels, dtype=int)
-    batch, q = acts.probabilities.shape
-    if labels.shape != (batch,):
-        raise ValueError(f"labels shape {labels.shape} does not match batch {batch}")
+    if labels.shape != probs.shape[:-1]:
+        raise ValueError(f"labels shape {labels.shape} does not match batch {probs.shape[:-1]}")
     if labels.min(initial=0) < 0 or labels.max(initial=0) >= q:
         raise ValueError(f"labels must lie in [0, {q})")
     spec.validate(q)
+    if mask is None:
+        mask = np.ones(labels.shape)
+    elif np.shape(mask) != labels.shape:
+        raise ValueError(f"mask shape {np.shape(mask)} does not match labels {labels.shape}")
+    row_w = mask / np.maximum(np.sum(mask, axis=-1, keepdims=True), 1.0)
 
-    rows = np.arange(batch)
-    logp = log_softmax(acts.logits)
-    probs = acts.probabilities
-    onehot = np.zeros_like(probs)
-    onehot[rows, labels] = 1.0
-
+    onehot = labels[..., None] == np.arange(q)
+    pt = np.maximum(probs[onehot].reshape(labels.shape), 1e-300)
+    log_pt = np.log(pt)
     if spec.kind == "focal":
-        pt = np.clip(probs[rows, labels], 1e-300, 1.0)
         one_minus = 1.0 - pt
-        loss = float(np.mean(-np.power(one_minus, spec.gamma) * logp[rows, labels]))
-        # d/d pt of -(1-pt)^g log pt, chained through softmax; the first term
+        focus = np.power(one_minus, spec.gamma)
+        row_loss = -focus * log_pt
+        # d/d pt of -(1-pt)^g log pt, chained through softmax; the log term
         # vanishes as pt -> 1 for g > 0 but needs guarding in float form.
         log_term = np.where(
             one_minus > 1e-12,
-            spec.gamma * pt * np.log(pt) * np.power(one_minus, spec.gamma - 1.0),
+            spec.gamma * pt * log_pt * np.power(one_minus, spec.gamma - 1.0),
             0.0,
         )
-        factor = log_term - np.power(one_minus, spec.gamma)
-        grad = factor[:, None] * (onehot - probs) / batch
-        return loss, grad
-
-    if spec.kind == "class_balanced":
-        sample_w = _class_weights(spec, q)[labels]
+        grad_scale = (focus - log_term) * row_w
     else:
-        sample_w = np.ones(batch)
-    loss = float(np.mean(-sample_w * logp[rows, labels]))
-    grad = sample_w[:, None] * (probs - onehot) / batch
-    return loss, grad
+        sample_w = _class_weights(spec, q)[labels] if spec.kind == "class_balanced" else 1.0
+        row_loss = -sample_w * log_pt
+        grad_scale = sample_w * row_w
+    loss = np.sum(row_loss * row_w, axis=-1)
+    grad = grad_scale[..., None] * (probs - onehot)
+    return (float(loss) if loss.ndim == 0 else loss), grad
 
 
 def backward(model: MlpModel, acts: Activations, grad_logits: Array) -> Gradients:
-    """Chain-rule gradients of the loss whose logit gradient is grad_logits."""
+    """Chain-rule gradients of the loss whose logit gradient is grad_logits;
+    on a stacked model each gradient carries the leading client axis."""
     if grad_logits.shape != acts.logits.shape:
         raise ValueError(
             f"grad_logits shape {grad_logits.shape} does not match logits {acts.logits.shape}"
@@ -252,26 +263,39 @@ def backward(model: MlpModel, acts: Activations, grad_logits: Array) -> Gradient
     g = grad_logits
     for i in range(n_layers - 1, -1, -1):
         layer_in = acts.layer_outputs[i - 1] if i > 0 else acts.inputs
-        weight_grads[i] = layer_in.T @ g
-        bias_grads[i] = g.sum(axis=0)
+        weight_grads[i] = layer_in.swapaxes(-1, -2) @ g
+        bias_grads[i] = g.sum(axis=-2)
         if i > 0:
-            g = (g @ model.weights[i].T) * (acts.layer_outputs[i - 1] > 0.0)
+            g = (g @ model.weights[i].swapaxes(-1, -2)) * (acts.layer_outputs[i - 1] > 0.0)
     return Gradients(weight_grads=weight_grads, bias_grads=bias_grads)
 
 
-def sgd_step(model: MlpModel, grads: Gradients, opt: OptState) -> MlpModel:
-    """In-place SGD update; with momentum mu: buf = mu*buf + g, w -= lr*buf."""
-    for i in range(len(model.weights)):
-        if grads.weight_grads[i].shape != model.weights[i].shape:
-            raise ValueError(f"gradient shape mismatch at layer {i}")
-        if opt.momentum == 0.0:
-            model.weights[i] -= opt.lr * grads.weight_grads[i]
-            model.biases[i] -= opt.lr * grads.bias_grads[i]
-        else:
-            opt.weight_buffers[i] = opt.momentum * opt.weight_buffers[i] + grads.weight_grads[i]
-            opt.bias_buffers[i] = opt.momentum * opt.bias_buffers[i] + grads.bias_grads[i]
-            model.weights[i] -= opt.lr * opt.weight_buffers[i]
-            model.biases[i] -= opt.lr * opt.bias_buffers[i]
+def sgd_step(
+    model: MlpModel, grads: Gradients, opt: OptState, active: Array | None = None
+) -> MlpModel:
+    """In-place SGD update; with momentum mu: buf = mu*buf + g, w -= lr*buf.
+
+    On a stacked model, active is a (K,) boolean step mask: a client whose
+    entry is False keeps its weights and momentum buffers exactly as they
+    were, whatever its gradient holds.
+    """
+    for params, buffers, param_grads in (
+        (model.weights, opt.weight_buffers, grads.weight_grads),
+        (model.biases, opt.bias_buffers, grads.bias_grads),
+    ):
+        for i, g in enumerate(param_grads):
+            if g.shape != params[i].shape:
+                raise ValueError(f"gradient shape mismatch at layer {i}")
+            keep = None if active is None else active.reshape(-1, *(1,) * (g.ndim - 1))
+            if opt.momentum != 0.0:
+                g = opt.momentum * buffers[i] + g
+                if keep is not None:
+                    g = np.where(keep, g, buffers[i])
+                buffers[i] = g
+            step = opt.lr * g
+            if keep is not None:
+                step = np.where(keep, step, 0.0)
+            params[i] -= step
     return model
 
 

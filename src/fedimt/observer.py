@@ -38,6 +38,8 @@ def cosine_similarity(a: Array, b: Array) -> float:
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        raise ValueError("cosine similarity of a non-finite vector is undefined")
     na, nb = np.linalg.norm(a), np.linalg.norm(b)
     if na == 0.0 or nb == 0.0:
         raise ValueError("cosine similarity of a zero vector is undefined")
@@ -62,6 +64,8 @@ def _check_ratio(state: RatioObserverState, r_j: Array) -> Array:
     r_j = np.asarray(r_j, dtype=float)
     if r_j.shape != state.ratio.shape:
         raise ValueError(f"ratio length {r_j.shape} != {state.ratio.shape}")
+    if not np.all(np.isfinite(r_j)):
+        raise ValueError("observation has a non-finite entry")
     if np.any(r_j < 0.0) or abs(r_j.sum() - 1.0) > _PROB_TOL:
         raise ValueError("observation is not a probability vector")
     return r_j

@@ -4,7 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedimt.nn import (
+    Gradients,
     LossSpec,
+    MlpModel,
     OptState,
     backward,
     compute_loss,
@@ -28,7 +30,6 @@ class TestMlpInit:
         model = mlp_init([4, 8, 3], seed=7)
         assert [w.shape for w in model.weights] == [(4, 8), (8, 3)]
         assert [b.shape for b in model.biases] == [(8,), (3,)]
-        assert model.last_hidden_size == 8
         assert model.num_classes == 3
 
     def test_deterministic(self):
@@ -210,15 +211,6 @@ class TestBackward:
         for a, b in zip(grads.weight_grads, grads2.weight_grads):
             np.testing.assert_allclose(a, b, atol=1e-12)
 
-    def test_last_layer_grad_alias(self):
-        model = mlp_init([4, 8, 3], seed=1)
-        x, y = seeded_batch(model, 5, seed=1)
-        acts = forward(model, x)
-        _, g = compute_loss(acts, y, LossSpec())
-        grads = backward(model, acts, g)
-        assert grads.last_layer_grad.shape == (8, 3)
-        np.testing.assert_array_equal(grads.last_layer_grad, grads.weight_grads[-1])
-
     def test_shape_mismatch(self):
         model = mlp_init([4, 8, 3], seed=1)
         acts = forward(model, np.zeros((2, 4)))
@@ -243,15 +235,11 @@ class TestSgdStep:
         model.weights[0][:] = 1.0
         grads_w = [np.full((1, 1), 2.0)]
         grads_b = [np.zeros(1)]
-        from fedimt.nn import Gradients
-
         opt = OptState.for_model(model, lr=0.001, momentum=0.0)
         sgd_step(model, Gradients(grads_w, grads_b), opt)
         assert model.weights[0][0, 0] == pytest.approx(0.998, abs=1e-15)
 
     def test_momentum_matches_hand_unroll(self):
-        from fedimt.nn import Gradients
-
         model = mlp_init([1, 1], seed=0)
         model.weights[0][:] = 1.0
         model.biases[0][:] = 0.0
@@ -307,3 +295,82 @@ class TestGradCheck:
         model = mlp_init([2, 3, 2], seed=0)
         with pytest.raises(ValueError):
             grad_check(model, np.zeros((1, 2)), np.array([0]), LossSpec(), eps=0.1)
+
+
+def stack(models):
+    return MlpModel(
+        layer_sizes=list(models[0].layer_sizes),
+        weights=[np.stack(ws) for ws in zip(*(m.weights for m in models))],
+        biases=[np.stack(bs) for bs in zip(*(m.biases for m in models))],
+    )
+
+
+class TestClientAxis:
+    """A stacked model with a row mask computes what each client's 2-D model
+    computes on its own unmasked rows."""
+
+    SPECS = [
+        LossSpec(),
+        LossSpec(kind="class_balanced", beta=0.9, per_class_n=np.array([40.0, 4.0, 1.0])),
+        LossSpec(kind="focal", gamma=2.0),
+    ]
+
+    @pytest.mark.parametrize("spec", SPECS, ids=["plain_ce", "class_balanced", "focal"])
+    def test_masked_stack_matches_per_client(self, spec):
+        models = [mlp_init([4, 8, 3], seed=s) for s in range(3)]
+        rng = np.random.default_rng(0)
+        x = rng.normal(0.0, 1.0, (3, 6, 4))
+        y = rng.integers(0, 3, (3, 6))
+        mask = np.arange(6) < np.array([6, 4, 0])[:, None]  # client 2 has no rows
+        stacked = stack(models)
+        acts = forward(stacked, x)
+        losses, g = compute_loss(acts, y, spec, mask)
+        grads = backward(stacked, acts, g)
+        assert losses.shape == (3,) and losses[2] == 0.0
+        for k in range(2):
+            rows = mask[k]
+            a = forward(models[k], x[k, rows])
+            loss, gk = compute_loss(a, y[k, rows], spec)
+            ref = backward(models[k], a, gk)
+            assert losses[k] == pytest.approx(loss, abs=1e-12)
+            for got, want in zip(
+                grads.weight_grads + grads.bias_grads, ref.weight_grads + ref.bias_grads
+            ):
+                np.testing.assert_allclose(got[k], want, atol=1e-12)
+        for got in grads.weight_grads + grads.bias_grads:
+            assert not np.any(got[2])
+
+    def test_batch_must_carry_the_client_axis(self):
+        stacked = stack([mlp_init([4, 8, 3], seed=s) for s in range(2)])
+        with pytest.raises(ValueError):
+            forward(stacked, np.zeros((5, 4)))
+        with pytest.raises(ValueError):
+            forward(stacked, np.zeros((3, 5, 4)))
+
+    def test_mask_shape_checked(self):
+        model = mlp_init([4, 8, 3], seed=0)
+        acts = forward(model, np.zeros((2, 4)))
+        with pytest.raises(ValueError):
+            compute_loss(acts, np.array([0, 1]), LossSpec(), np.ones(3, dtype=bool))
+
+    @pytest.mark.parametrize("momentum", [0.0, 0.9])
+    def test_masked_step_leaves_client_exactly_unchanged(self, momentum):
+        stacked = stack([mlp_init([4, 8, 3], seed=s) for s in range(2)])
+        opt = OptState.for_model(stacked, lr=0.1, momentum=momentum)
+        rng = np.random.default_rng(3)
+        for buf in opt.weight_buffers + opt.bias_buffers:
+            buf[:] = rng.normal(0.0, 1.0, buf.shape)
+        grads = Gradients(
+            weight_grads=[rng.normal(0.0, 1.0, w.shape) for w in stacked.weights],
+            bias_grads=[rng.normal(0.0, 1.0, b.shape) for b in stacked.biases],
+        )
+        for g in grads.weight_grads + grads.bias_grads:
+            g[1] = np.nan  # whatever the frozen client's gradient holds
+        before = stacked.copy()
+        buffers = [b.copy() for b in opt.weight_buffers + opt.bias_buffers]
+        sgd_step(stacked, grads, opt, np.array([True, False]))
+        for a, b in zip(stacked.weights + stacked.biases, before.weights + before.biases):
+            np.testing.assert_array_equal(a[1], b[1])
+            assert not np.array_equal(a[0], b[0])
+        for a, b in zip(opt.weight_buffers + opt.bias_buffers, buffers):
+            np.testing.assert_array_equal(a[1], b[1])

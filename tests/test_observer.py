@@ -103,6 +103,14 @@ class TestObserverUpdate:
         with pytest.raises(ValueError):
             observer_update(state, np.array([1.2, -0.2]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, bad):
+        state = observer_update(observer_init(3, gain=0.3), np.array([0.2, 0.3, 0.5]))
+        with pytest.raises(ValueError):
+            observer_update(state, np.full(3, bad))
+        with pytest.raises(ValueError):
+            observer_update(state, np.array([bad, 0.5, 0.5]))
+
     def test_history_is_bounded(self):
         state = observer_init(2, gain=0.3)
         for _ in range(200):
@@ -141,6 +149,11 @@ class TestMismatchCheck:
         state = self.warmed([1.0, 0.0], tau=0.0)
         decision = mismatch_check(state, np.array([0.0, 1.0]))
         assert not decision.dropped
+
+    def test_non_finite_rejected(self):
+        state = self.warmed([0.2, 0.3, 0.5])
+        with pytest.raises(ValueError):
+            mismatch_check(state, [np.nan] * 3)
 
     def test_requires_prior_observation(self):
         state = observer_init(2, gain=0.3)
@@ -202,3 +215,10 @@ class TestCosineSimilarity:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             cosine_similarity(np.ones(2), np.ones(3))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError):
+            cosine_similarity(np.array([bad, 1.0]), np.array([1.0, 0.0]))
+        with pytest.raises(ValueError):
+            cosine_similarity(np.array([1.0, 0.0]), np.array([1.0, bad]))
