@@ -20,8 +20,8 @@ import sys
 import numpy as np
 
 from .config import ConfigError, ExperimentConfig, parse_config
-from .data import gen_synthetic, make_synthetic_spec, write_idx
-from .federation import derive_seed, run_experiment
+from .data import write_idx
+from .federation import _build_datasets, run_experiment
 from .metrics import write_metrics
 
 
@@ -120,17 +120,7 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
     config = parse_config(args.config)
     if config.data_source != "synthetic":
         raise ConfigError("gen-data needs a synthetic data source")
-    params = config.synthetic
-    spec = make_synthetic_spec(
-        params["classes"],
-        params["feature_dim"],
-        params["class_counts"],
-        cluster_scale=params["cluster_scale"],
-        class_separation=params["class_separation"],
-        run_length=params["run_length"],
-        seed=derive_seed(config.seed, 14),
-    )
-    dataset = gen_synthetic(spec, derive_seed(config.seed, 12))
+    dataset, _ = _build_datasets(config, config.seed)
     # IDX stores ubyte pixels; map features onto [0, 1] before quantizing.
     low = dataset.features.min()
     high = dataset.features.max()

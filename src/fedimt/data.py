@@ -58,7 +58,6 @@ class TrainingSlice:
 
     features: Array
     labels: Array
-    indices: Array  # positions into the client's dataset, arrival order
 
 
 @dataclass
@@ -252,13 +251,9 @@ def shard_partition(
     return clients
 
 
-def window_latest(
-    client: ClientDataset,
-    n_latest: int,
-    round_index: int,
-    step: int | None = None,
-) -> TrainingSlice:
-    """The client's most recent n_latest samples as of a round.
+def _window_span(sizes, n_latest: int, round_index: int, step: int | None = None):
+    """Start and width of each client's latest-n window as of a round, in
+    positions along the client's arrival stream (sizes: samples per client).
 
     Arrivals replay the client's trace as a circular stream: by round r the
     cursor sits at n_latest + r*step, and the window covers the n_latest
@@ -266,15 +261,51 @@ def window_latest(
     """
     if n_latest < 1:
         raise ValueError("n_latest must be >= 1")
-    ds = client.dataset
-    n = len(ds)
-    width = min(n_latest, n)
     if step is None:
         step = max(1, n_latest // 2)
+    width = np.minimum(n_latest, sizes)
     cursor = n_latest + round_index * step
-    positions = np.arange(cursor - width, cursor) % n
-    idx = ds.time_order[positions]
-    return TrainingSlice(features=ds.features[idx], labels=ds.labels[idx], indices=idx)
+    return cursor - width, width
+
+
+def window_latest(
+    client: ClientDataset,
+    n_latest: int,
+    round_index: int,
+    step: int | None = None,
+) -> TrainingSlice:
+    """The client's most recent n_latest samples as of a round (the
+    positions follow _window_span)."""
+    ds = client.dataset
+    n = len(ds)
+    start, width = _window_span(n, n_latest, round_index, step)
+    idx = ds.time_order[np.arange(start, start + width) % n]
+    return TrainingSlice(features=ds.features[idx], labels=ds.labels[idx])
+
+
+@dataclass
+class LabelStreams:
+    """Every client's labels in arrival order, laid end to end, so that the
+    latest-n windows of all clients are counted in one pass."""
+
+    labels: Array  # client 0's stream, then client 1's, ...
+    sizes: Array  # (num_clients,) samples per client
+
+    @classmethod
+    def of(cls, clients: list[ClientDataset]) -> "LabelStreams":
+        return cls(
+            labels=np.concatenate([c.dataset.labels[c.dataset.time_order] for c in clients]),
+            sizes=np.array([len(c.dataset) for c in clients]),
+        )
+
+    def window_counts(self, n_latest: int, round_index: int, num_classes: int) -> Array:
+        """Per-class counts over every client's window_latest slice."""
+        start, width = _window_span(self.sizes, n_latest, round_index)
+        client = np.repeat(np.arange(len(self.sizes)), width)
+        offset = np.arange(width.sum()) - np.repeat(np.cumsum(width) - width, width)
+        stream_start = np.cumsum(self.sizes) - self.sizes
+        pos = stream_start[client] + (start[client] + offset) % self.sizes[client]
+        return np.bincount(self.labels[pos], minlength=num_classes).astype(float)
 
 
 def sample_auxiliary(dataset: Dataset, per_class_count: int, seed: int) -> AuxiliarySet:

@@ -30,8 +30,10 @@ class EstimatorParams:
     """Numerical guards and the unit-calibration constant.
 
     scale_cal multiplies the probe updates; 1.0 is exact for single-client,
-    single-batch, momentum-0 rounds (the calibration oracle) and any residual
-    miscalibration cancels in ratio space, so it stays frozen at 1.0.
+    single-batch, momentum-0 rounds (the calibration oracle). It sets the
+    probe's unit against the observed update: scaling both by one factor
+    leaves the ratio unchanged, but scaling the probe alone moves it, so it
+    stays frozen at 1.0.
     """
 
     denom_epsilon: float = 1e-12
@@ -47,12 +49,13 @@ class EstimatorParams:
 class AuxGradients:
     """Per-class expected last-layer updates from the auxiliary probe.
 
-    per_class[q] is (s, Q): the summed per-sample cross-entropy gradient of
-    class q's probe samples, scaled by -lr*local_epochs/batch_size*scale_cal
-    so its units match one aggregation round's observed weight delta.
+    per_class is (Q, s, Q), and per_class[q] is (s, Q): the summed
+    per-sample cross-entropy gradient of class q's probe samples, scaled by
+    -lr*local_epochs/batch_size*scale_cal so its units match one aggregation
+    round's observed weight delta.
     """
 
-    per_class: list[Array]
+    per_class: Array
     n_aux: Array
 
 
@@ -86,14 +89,15 @@ def probe_auxiliary(
             f"auxiliary set covers {aux.num_classes} classes, model has {q_total}"
         )
     scale = -(lr * local_epochs / batch_size) * params.scale_cal
-    per_class = []
+    per_class = np.empty((q_total, prev_model.layer_sizes[-2], q_total))
     for q, feats in enumerate(aux.class_features):
         if len(feats) == 0:
             raise ValueError(f"auxiliary class {q} is empty")
         acts = forward(prev_model, feats)
         grad = acts.probabilities.copy()
         grad[:, q] -= 1.0
-        per_class.append(scale * (acts.hidden_outputs.T @ grad))
+        np.matmul(acts.hidden_outputs.T, grad, out=per_class[q])
+        per_class[q] *= scale
     return AuxGradients(per_class=per_class, n_aux=aux.per_class_count.astype(float))
 
 
@@ -124,58 +128,47 @@ def estimate_counts(
     params.validate()
     if total_samples <= 0:
         raise ValueError("total_samples must be > 0")
-    q_total = len(aux_grads.per_class)
-    s = w_prev.shape[0]
-    delta = w_new - w_prev
+    per_class = np.asarray(aux_grads.per_class)  # (Q, s, Q)
+    q_total, s = per_class.shape[:2]
+    classes = np.arange(q_total)
+    # Row p of own and other: class p's probe update at column p, and the
+    # mean of the other classes' updates there.
+    own = per_class[classes, :, classes]
+    if q_total > 1:
+        other = (per_class.sum(axis=0).T - own) / (q_total - 1)
+    else:
+        other = np.zeros((q_total, s))
+    # other == 0 with own != 0 means no competing class touches this
+    # weight: the equation collapses to own * x = rhs and the node is
+    # maximally confident rather than skippable.
+    live = np.abs(other) > params.denom_epsilon
+    conf = np.divide(-own, other, out=np.zeros((q_total, s)), where=live)
+    conf[~live & (np.abs(own) > params.denom_epsilon)] = np.inf
 
-    sum_aux = np.zeros_like(aux_grads.per_class[0])
-    for g in aux_grads.per_class:
-        sum_aux += g
+    denom = own - other
+    ok = (np.abs(denom) > params.denom_epsilon) & (conf > params.confidence_floor)
+    rhs = (aux_grads.n_aux * num_selected)[:, None] * (w_new - w_prev).T
+    estimates = np.where(ok, (rhs - other * total_samples) / np.where(ok, denom, 1.0), np.nan)
+    used = ok.sum(axis=1)
+    fallback = used == 0
 
+    # The weighted sum runs over each class's surviving nodes compacted; a
+    # masked sum over all s nodes would round differently.
     counts = np.zeros(q_total)
-    node_estimates = np.full((q_total, s), np.nan)
-    node_confidences = np.zeros((q_total, s))
-    used = np.zeros(q_total, dtype=int)
-    fallback = np.zeros(q_total, dtype=bool)
-
     for p in range(q_total):
-        own = aux_grads.per_class[p][:, p]
-        if q_total > 1:
-            other = (sum_aux[:, p] - own) / (q_total - 1)
-        else:
-            other = np.zeros(s)
-        # other == 0 with own != 0 means no competing class touches this
-        # weight: the equation collapses to own * x = rhs and the node is
-        # maximally confident rather than skippable.
-        live = np.abs(other) > params.denom_epsilon
-        conf = np.divide(-own, other, out=np.zeros(s), where=live)
-        conf[~live & (np.abs(own) > params.denom_epsilon)] = np.inf
-        node_confidences[p] = conf
-
-        denom = own - other
-        ok = (np.abs(denom) > params.denom_epsilon) & (conf > params.confidence_floor)
-        rhs = aux_grads.n_aux[p] * num_selected * delta[:, p]
-        estimates = np.where(ok, (rhs - other * total_samples) / np.where(ok, denom, 1.0), np.nan)
-        node_estimates[p] = estimates
-
-        used[p] = int(ok.sum())
-        if used[p] == 0:
+        if fallback[p]:
             logger.warning("class %d: every node skipped, falling back to total/Q", p)
             counts[p] = total_samples / q_total
-            fallback[p] = True
-        else:
-            conf_ok = conf[ok]
-            if np.any(np.isinf(conf_ok)):
-                exact = np.isinf(conf_ok)
-                weights = exact / exact.sum()
-            else:
-                weights = conf_ok / conf_ok.sum()
-            counts[p] = float(np.dot(weights, estimates[ok]))
+            continue
+        conf_ok = conf[p, ok[p]]
+        exact = np.isinf(conf_ok)
+        weights = exact / exact.sum() if exact.any() else conf_ok / conf_ok.sum()
+        counts[p] = float(np.dot(weights, estimates[p, ok[p]]))
 
     return CountEstimate(
         counts=np.clip(counts, 0.0, total_samples),
-        node_estimates=node_estimates,
-        node_confidences=node_confidences,
+        node_estimates=estimates,
+        node_confidences=conf,
         used_node_count=used,
         fallback=fallback,
     )

@@ -27,6 +27,7 @@ from .data import (
     AuxiliarySet,
     ClientDataset,
     Dataset,
+    LabelStreams,
     TrainingSlice,
     auxiliary_from_dataset,
     gen_synthetic,
@@ -37,6 +38,7 @@ from .data import (
     window_latest,
 )
 from .estimator import (
+    AuxGradients,
     EstimatorParams,
     counts_to_ratio,
     estimate_counts,
@@ -331,9 +333,26 @@ class FederatedRunner:
                 drop_threshold=self.config.drop_threshold,
             )
             self._n_ref = float(max(self.num_classes, sum(c.total_count for c in self.clients)))
+            # The ground truth behind T_G: without a window every sample is
+            # in scope every round, so it is counted once.
+            if self.config.n_latest is None:
+                self._all_counts = oracle_counts(
+                    [np.concatenate([c.dataset.labels for c in self.clients])], self.num_classes
+                )
+            else:
+                self._streams = LabelStreams.of(self.clients)
         else:
             self.observer = None
         self.loss_spec = self._build_loss_spec()
+        self._adopt(self.model)
+
+    def _adopt(self, model: MlpModel) -> None:
+        """Make model the global model. The model changes only here, so its
+        probe and its evaluation, each computed on first use, are reset here
+        and reused for as long as the model stays (a dropped round keeps it)."""
+        self.model = model
+        self._probe: AuxGradients | None = None
+        self._evaluation: tuple[float, float | None] | None = None
 
     def _build_loss_spec(self) -> LossSpec:
         if not self._tracking:
@@ -350,21 +369,27 @@ class FederatedRunner:
     def _client_scope(self, client: ClientDataset, round_index: int) -> TrainingSlice:
         if self.config.n_latest is not None:
             return window_latest(client, self.config.n_latest, round_index)
-        ds = client.dataset
-        return TrainingSlice(features=ds.features, labels=ds.labels, indices=np.arange(len(ds)))
+        return TrainingSlice(features=client.dataset.features, labels=client.dataset.labels)
+
+    def _global_truth(self, round_index: int) -> Array:
+        """Class counts over every client's in-scope samples at a round."""
+        if self.config.n_latest is None:
+            return self._all_counts
+        return self._streams.window_counts(self.config.n_latest, round_index, self.num_classes)
 
     def _estimate_round_ratio(self, candidate: MlpModel, total: float, num_selected: int):
         """Probe the previous global model and solve for this round's counts."""
-        aux_grads = probe_auxiliary(
-            self.model,
-            self.aux,
-            lr=self.config.lr,
-            local_epochs=self.config.local_epochs,
-            batch_size=self.config.batch_size,
-            params=self.estimator_params,
-        )
+        if self._probe is None:
+            self._probe = probe_auxiliary(
+                self.model,
+                self.aux,
+                lr=self.config.lr,
+                local_epochs=self.config.local_epochs,
+                batch_size=self.config.batch_size,
+                params=self.estimator_params,
+            )
         estimate = estimate_counts(
-            aux_grads,
+            self._probe,
             w_prev=self.model.weights[-1],
             w_new=candidate.weights[-1],
             total_samples=total,
@@ -376,8 +401,12 @@ class FederatedRunner:
     def _evaluate(self) -> tuple[float | None, float | None]:
         if self.test_features is None:
             return None, None
-        result = evaluate(self.model, self.test_features, self.test_labels, self.minority_classes)
-        return result.accuracy, result.minority_accuracy
+        if self._evaluation is None:
+            result = evaluate(
+                self.model, self.test_features, self.test_labels, self.minority_classes
+            )
+            self._evaluation = (result.accuracy, result.minority_accuracy)
+        return self._evaluation
 
     def initial_record(self) -> RoundRecord:
         """Round-0 row: evaluation of the untrained model, nothing else."""
@@ -436,11 +465,11 @@ class FederatedRunner:
                     drop_similarity = decision.similarity
                 self.observer = observer_update(self.observer, round_ratio)
                 if not dropped:
-                    self.model = candidate
+                    self._adopt(candidate)
                 self._n_ref = max(float(self.num_classes), total)
                 self.loss_spec = self._build_loss_spec()
             else:
-                self.model = candidate
+                self._adopt(candidate)
 
         if self._tracking:
             observer_ratio = self.observer.ratio.copy()
@@ -448,10 +477,7 @@ class FederatedRunner:
                 truth = oracle_counts(round_labels, self.num_classes)
                 if truth.sum() > 0:
                     t_round = cosine_similarity(round_ratio, counts_to_ratio(truth))
-            global_labels = [
-                self._client_scope(c, j).labels for c in self.clients
-            ]
-            global_truth = oracle_counts(global_labels, self.num_classes)
+            global_truth = self._global_truth(j)
             if global_truth.sum() > 0:
                 t_global = cosine_similarity(observer_ratio, counts_to_ratio(global_truth))
 

@@ -32,17 +32,20 @@ def evaluate(
 ) -> EvalResult:
     """Argmax accuracy, per-class accuracy, minority-restricted accuracy.
 
-    minority_classes comes from the simulation-side training oracle (classes
-    with below-average training prevalence); None or empty means minority
-    accuracy is undefined and reported as None.
+    The prediction is the argmax of the logits. The softmax is monotone, so
+    it is not computed; it could only add ties between logits closer than
+    its rounding. minority_classes comes from the simulation-side training
+    oracle (classes with below-average training prevalence); None or empty
+    means minority accuracy is undefined and reported as None.
     """
     labels = np.asarray(labels, dtype=int)
     if len(labels) == 0:
         raise ValueError("test set is empty")
     q = model.num_classes
-    pred = forward(model, features).probabilities.argmax(axis=1)
-    confusion = np.zeros((q, q), dtype=int)
-    np.add.at(confusion, (labels, pred), 1)
+    if labels.min() < 0 or labels.max() >= q:
+        raise ValueError(f"labels must lie in [0, {q})")
+    pred = forward(model, features).logits.argmax(axis=1)
+    confusion = np.bincount(labels * q + pred, minlength=q * q).reshape(q, q)
     row_totals = confusion.sum(axis=1)
     with np.errstate(invalid="ignore"):
         per_class = np.where(row_totals > 0, np.diag(confusion) / row_totals, np.nan)

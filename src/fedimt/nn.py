@@ -17,6 +17,7 @@ axis.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -48,13 +49,20 @@ class MlpModel:
 
 @dataclass
 class Activations:
-    """Forward-pass record: hidden_outputs feeds the final linear layer."""
+    """Forward-pass record: hidden_outputs feeds the final linear layer.
+
+    probabilities is the softmax of the logits, computed on first use, so a
+    caller that needs only the logits (an argmax) never pays for it.
+    """
 
     inputs: Array
     layer_outputs: list[Array]
     hidden_outputs: Array
     logits: Array
-    probabilities: Array
+
+    @cached_property
+    def probabilities(self) -> Array:
+        return softmax(self.logits)
 
 
 @dataclass
@@ -178,7 +186,6 @@ def forward(model: MlpModel, batch: Array) -> Activations:
         layer_outputs=outputs,
         hidden_outputs=hidden,
         logits=logits,
-        probabilities=softmax(logits),
     )
 
 

@@ -14,7 +14,6 @@ import numpy as np
 
 from .nn import Array, effective_number_weight
 
-HISTORY_LIMIT = 64
 _PROB_TOL = 1e-6
 
 
@@ -24,7 +23,6 @@ class RatioObserverState:
     round_count: int
     gain: float
     drop_threshold: float
-    history: tuple[tuple[float, ...], ...] = ()
 
 
 @dataclass
@@ -93,13 +91,11 @@ def observer_update(
     else:
         raw = (1.0 - step_gain) / 2.0 * state.ratio + step_gain / 2.0 * r_j
         new_ratio = raw / raw.sum()
-    history = (state.history + (tuple(float(v) for v in r_j),))[-HISTORY_LIMIT:]
     return RatioObserverState(
         ratio=new_ratio,
         round_count=state.round_count + 1,
         gain=state.gain,
         drop_threshold=state.drop_threshold,
-        history=history,
     )
 
 

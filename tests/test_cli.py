@@ -138,6 +138,27 @@ class TestGenData:
         assert ds.features.min() >= 0.0
         assert ds.features.max() <= 1.0
 
+    def test_matches_the_training_set_run_builds(self, tiny_cfg_path, tmp_path, monkeypatch):
+        import fedimt.federation as federation
+
+        built = []
+        partition = federation.shard_partition
+
+        def recording_partition(train, *args):
+            built.append(train)
+            return partition(train, *args)
+
+        monkeypatch.setattr(federation, "shard_partition", recording_partition)
+        assert cli_main(["run", "--config", tiny_cfg_path]) == 0
+        img, lab = str(tmp_path / "gen_img"), str(tmp_path / "gen_lab")
+        assert cli_main(["gen-data", "--config", tiny_cfg_path, "--images", img, "--labels", lab]) == 0
+        ds = load_idx(img, lab)
+        (train,) = built
+        np.testing.assert_array_equal(ds.labels, train.labels)
+        span = train.features.max() - train.features.min()
+        pixels = np.rint((train.features - train.features.min()) / span * 255.0) / 255.0
+        np.testing.assert_array_equal(ds.features, pixels)
+
     def test_rejects_idx_source(self, tmp_path, capsys):
         from fedimt.data import write_idx
         from conftest import make_dataset

@@ -172,7 +172,8 @@ class TestWindowLatest:
         order = np.array([3, 1, 0, 2])
         client = make_client(np.arange(8.0).reshape(4, 2), [0, 0, 1, 1], time_order=order)
         sl = window_latest(client, n_latest=2, round_index=0)
-        np.testing.assert_array_equal(sl.indices, [3, 1])
+        np.testing.assert_array_equal(sl.features, [[6.0, 7.0], [2.0, 3.0]])
+        np.testing.assert_array_equal(sl.labels, [1, 0])
 
     def test_burst_ratio_rises_then_falls(self):
         # arrival: 8 of class 0, then a 12-long burst of class 1, then 8 of class 0
@@ -189,10 +190,12 @@ class TestWindowLatest:
         assert min(ratios[peak:]) < 1.0
 
     def test_slices_are_contiguous_stream_suffixes(self):
-        client = make_client(np.zeros((10, 2)), [0, 1] * 5)
+        client = make_client(np.arange(20.0).reshape(10, 2), [0, 1, 1, 0, 2] * 2)
         a = window_latest(client, 4, round_index=0, step=1)
         b = window_latest(client, 4, round_index=1, step=1)
-        np.testing.assert_array_equal(a.indices[1:], b.indices[:-1])
+        np.testing.assert_array_equal(a.features[1:], b.features[:-1])
+        np.testing.assert_array_equal(a.labels[1:], b.labels[:-1])
+        np.testing.assert_array_equal(b.features[-1], client.dataset.features[4])
 
     def test_n_latest_precondition(self):
         client = make_client(np.zeros((4, 2)), [0, 1, 0, 1])

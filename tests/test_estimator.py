@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fedimt.data import AuxiliarySet
@@ -13,7 +13,7 @@ from fedimt.estimator import (
     probe_auxiliary,
 )
 from fedimt.federation import FlConfig, local_update
-from fedimt.nn import LossSpec, mlp_init
+from fedimt.nn import LossSpec, forward, mlp_init
 from conftest import degenerate_dataset
 
 
@@ -232,3 +232,113 @@ class TestOracleCounts:
 
     def test_empty_list(self):
         np.testing.assert_array_equal(oracle_counts([], 3), [0, 0, 0])
+
+
+def random_solve_inputs(seed, q, s):
+    """Probe updates and a last-layer delta drawn at random; about one
+    weight in ten has no competing class (other == 0, infinite confidence)."""
+    rng = np.random.default_rng(seed)
+    per_class = rng.normal(0.0, 1.0, (q, s, q))
+    untouched = rng.random((s, q)) < 0.1
+    for p in range(q):
+        per_class[np.arange(q) != p, :, p] *= ~untouched[:, p]
+    n_aux = rng.integers(1, 200, q).astype(float)
+    return AuxGradients(per_class=per_class, n_aux=n_aux), rng.normal(0.0, 1.0, (s, q))
+
+
+class TestEstimatorProperties:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        q=st.integers(2, 8),
+        s=st.integers(1, 48),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_relabelling_classes_permutes_counts(self, seed, q, s, data):
+        perm = np.array(data.draw(st.permutations(range(q))))
+        aux, delta = random_solve_inputs(seed, q, s)
+        base = estimate_counts(aux, np.zeros((s, q)), delta, 500.0, 4)
+        # Old class c is new class perm[c], as a probe class and as a column.
+        per_class = np.empty_like(aux.per_class)
+        per_class[np.ix_(perm, np.arange(s), perm)] = aux.per_class
+        n_aux = np.empty(q)
+        n_aux[perm] = aux.n_aux
+        new_delta = np.empty_like(delta)
+        new_delta[:, perm] = delta
+        relabelled = estimate_counts(
+            AuxGradients(per_class=per_class, n_aux=n_aux), np.zeros((s, q)), new_delta, 500.0, 4
+        )
+        np.testing.assert_allclose(relabelled.counts[perm], base.counts, rtol=1e-9, atol=1e-9)
+        np.testing.assert_array_equal(relabelled.used_node_count[perm], base.used_node_count)
+        np.testing.assert_array_equal(relabelled.fallback[perm], base.fallback)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        q=st.integers(2, 6),
+        s=st.integers(1, 24),
+        scale_cal=st.floats(0.1, 10.0),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_ratio_unchanged_when_scale_cal_and_update_scale_together(self, seed, q, s, scale_cal):
+        # scale_cal multiplies the probe updates, so it calibrates their unit
+        # against the observed update: scaling both by one factor cancels.
+        # Scaling the probe alone does move the ratio.
+        rng = np.random.default_rng(seed)
+        model = mlp_init([5, s, q], seed=seed)
+        aux = AuxiliarySet(class_features=[rng.normal(0.0, 1.0, (6, 5)) for _ in range(q)])
+        delta = rng.normal(0.0, 1.0, (s, q))
+        ratios = []
+        for factor in (1.0, scale_cal):
+            params = EstimatorParams(scale_cal=factor)
+            grads = probe_auxiliary(model, aux, lr=1.0, local_epochs=1, batch_size=1, params=params)
+            estimate = estimate_counts(grads, np.zeros((s, q)), factor * delta, 300.0, 3, params)
+            ratios.append(counts_to_ratio(estimate.counts))
+        np.testing.assert_allclose(ratios[1], ratios[0], rtol=1e-7, atol=1e-12)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        q=st.integers(1, 8),
+        s=st.integers(1, 48),
+        total=st.floats(1e-3, 1e6),
+        spread=st.floats(1e-3, 1e3),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_counts_are_finite(self, seed, q, s, total, spread):
+        # The final clip bounds the counts to [0, total] but passes a NaN
+        # through, so finiteness is what the solve itself must guarantee.
+        aux, delta = random_solve_inputs(seed, q, s)
+        estimate = estimate_counts(aux, np.zeros((s, q)), spread * delta, total, 2)
+        assert np.all(np.isfinite(estimate.counts))
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        counts=st.lists(st.integers(1, 60), min_size=2, max_size=6),
+        feature_dim=st.integers(1, 10),
+        hidden=st.lists(st.integers(1, 24), min_size=1, max_size=2),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_single_client_at_momentum_zero_is_exact(self, seed, counts, feature_dim, hidden):
+        # Every sample has the same features, so the other classes' probe
+        # updates agree and each node's equation holds exactly; one client
+        # taking one full-batch step at momentum 0 moves the last layer by
+        # exactly what the probe predicts.
+        q, n = len(counts), sum(counts)
+        rng = np.random.default_rng(seed)
+        model = mlp_init([feature_dim, *hidden, q], seed=seed)
+        x = rng.normal(0.0, 1.0, feature_dim)
+        if not np.any(forward(model, x[None]).hidden_outputs > 0):
+            x = -x
+        assume(np.any(forward(model, x[None]).hidden_outputs > 0))
+        labels = np.repeat(np.arange(q), counts)
+        cfg = FlConfig(
+            num_clients=1, rounds=1, selection_rate=1.0, local_epochs=1,
+            batch_size=n, lr=0.01, momentum=0.0,
+        )
+        aux = AuxiliarySet(class_features=[np.repeat(x[None], 4, axis=0)] * q)
+        grads = probe_auxiliary(model, aux, lr=cfg.lr, local_epochs=1, batch_size=n)
+        update = local_update(0, np.repeat(x[None], n, axis=0), labels, model, cfg, LossSpec(), seed=3)
+        estimate = estimate_counts(
+            grads, model.weights[-1], update.model.weights[-1], float(n), num_selected=1
+        )
+        assert not estimate.fallback.any()
+        np.testing.assert_allclose(estimate.counts, counts, rtol=1e-7)

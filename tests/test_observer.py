@@ -111,12 +111,6 @@ class TestObserverUpdate:
         with pytest.raises(ValueError):
             observer_update(state, np.array([bad, 0.5, 0.5]))
 
-    def test_history_is_bounded(self):
-        state = observer_init(2, gain=0.3)
-        for _ in range(200):
-            state = observer_update(state, np.array([0.5, 0.5]))
-        assert len(state.history) <= 64
-
     def test_per_round_gain_override(self):
         state = observer_init(2, gain=0.3)
         state = observer_update(state, np.array([0.5, 0.5]))

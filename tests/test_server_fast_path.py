@@ -1,0 +1,283 @@
+"""The server side of a round against the simple code it replaced.
+
+Each reference below is the earlier implementation, kept as it was:
+estimate_counts as one loop over classes, evaluation as the softmax's argmax
+counted with np.add.at, and the T_G ground truth as one window_latest call per
+client summed by oracle_counts. The fast paths do the same arithmetic in
+array form, so their results must be equal, not merely close.
+
+The runner probes and evaluates each global model once: a dropped round keeps
+the model, and with it the model's probe and accuracy.
+"""
+
+import numpy as np
+import pytest
+
+import fedimt.federation as federation
+from fedimt.data import ClientDataset, LabelStreams, window_latest
+from fedimt.estimator import AuxGradients, CountEstimate, EstimatorParams, estimate_counts, oracle_counts
+from fedimt.metrics import EvalResult, evaluate
+from fedimt.nn import MlpModel, forward, mlp_init
+from conftest import make_dataset, synthetic_exp_config
+
+
+def reference_estimate_counts(aux_grads, w_prev, w_new, total_samples, num_selected, params=None):
+    params = params or EstimatorParams()
+    q_total = len(aux_grads.per_class)
+    s = w_prev.shape[0]
+    delta = w_new - w_prev
+
+    sum_aux = np.zeros_like(aux_grads.per_class[0])
+    for g in aux_grads.per_class:
+        sum_aux += g
+
+    counts = np.zeros(q_total)
+    node_estimates = np.full((q_total, s), np.nan)
+    node_confidences = np.zeros((q_total, s))
+    used = np.zeros(q_total, dtype=int)
+    fallback = np.zeros(q_total, dtype=bool)
+
+    for p in range(q_total):
+        own = aux_grads.per_class[p][:, p]
+        if q_total > 1:
+            other = (sum_aux[:, p] - own) / (q_total - 1)
+        else:
+            other = np.zeros(s)
+        live = np.abs(other) > params.denom_epsilon
+        conf = np.divide(-own, other, out=np.zeros(s), where=live)
+        conf[~live & (np.abs(own) > params.denom_epsilon)] = np.inf
+        node_confidences[p] = conf
+
+        denom = own - other
+        ok = (np.abs(denom) > params.denom_epsilon) & (conf > params.confidence_floor)
+        rhs = aux_grads.n_aux[p] * num_selected * delta[:, p]
+        estimates = np.where(ok, (rhs - other * total_samples) / np.where(ok, denom, 1.0), np.nan)
+        node_estimates[p] = estimates
+
+        used[p] = int(ok.sum())
+        if used[p] == 0:
+            counts[p] = total_samples / q_total
+            fallback[p] = True
+        else:
+            conf_ok = conf[ok]
+            if np.any(np.isinf(conf_ok)):
+                exact = np.isinf(conf_ok)
+                weights = exact / exact.sum()
+            else:
+                weights = conf_ok / conf_ok.sum()
+            counts[p] = float(np.dot(weights, estimates[ok]))
+
+    return CountEstimate(
+        counts=np.clip(counts, 0.0, total_samples),
+        node_estimates=node_estimates,
+        node_confidences=node_confidences,
+        used_node_count=used,
+        fallback=fallback,
+    )
+
+
+def reference_evaluate(model, features, labels, minority_classes=None):
+    labels = np.asarray(labels, dtype=int)
+    q = model.num_classes
+    pred = forward(model, features).probabilities.argmax(axis=1)
+    confusion = np.zeros((q, q), dtype=int)
+    np.add.at(confusion, (labels, pred), 1)
+    row_totals = confusion.sum(axis=1)
+    with np.errstate(invalid="ignore"):
+        per_class = np.where(row_totals > 0, np.diag(confusion) / row_totals, np.nan)
+    minority_accuracy = None
+    if minority_classes is not None and len(minority_classes) > 0:
+        mask = np.isin(labels, minority_classes)
+        if mask.any():
+            minority_accuracy = float((pred[mask] == labels[mask]).mean())
+    return EvalResult(
+        accuracy=float(np.trace(confusion) / len(labels)),
+        per_class_accuracy=per_class,
+        minority_accuracy=minority_accuracy,
+        confusion=confusion,
+    )
+
+
+def reference_window_counts(clients, n_latest, round_index, num_classes):
+    return oracle_counts(
+        [window_latest(c, n_latest, round_index).labels for c in clients], num_classes
+    )
+
+
+def random_case(rng, q, s):
+    """Probe updates, layer weights and a total with every row kind the
+    solver distinguishes: all nodes usable, some skipped, some infinitely
+    confident (no other class touches the weight), and every node skipped."""
+    per_class = rng.normal(0.0, 1.0, (q, s, q))
+    for p in range(q):
+        kind = rng.integers(5)
+        own_sign = np.sign(per_class[p, :, p])
+        if kind == 0 and q > 1:
+            # Other classes oppose the own update at every node.
+            for g in range(q):
+                if g != p:
+                    per_class[g, :, p] = -own_sign * np.abs(per_class[g, :, p])
+        elif kind == 1 and q > 1:
+            # Other classes pull the same way: every node is skipped.
+            for g in range(q):
+                if g != p:
+                    per_class[g, :, p] = own_sign * np.abs(per_class[g, :, p])
+        elif kind == 2:
+            # No other class touches some weights: other == 0 there.
+            zero = rng.random(s) < 0.3
+            for g in range(q):
+                if g != p:
+                    per_class[g, zero, p] = 0.0
+        elif kind == 3:
+            # No own update anywhere: every node is skipped.
+            per_class[p, :, p] = 0.0
+    w_prev = rng.normal(0.0, 1.0, (s, q))
+    w_new = w_prev + rng.normal(0.0, 0.5, (s, q))
+    n_aux = rng.integers(1, 200, q).astype(float)
+    total = float(rng.integers(1, 5000))
+    return AuxGradients(per_class=per_class, n_aux=n_aux), w_prev, w_new, total
+
+
+def assert_estimates_equal(got, want):
+    np.testing.assert_array_equal(got.counts, want.counts)
+    np.testing.assert_array_equal(got.node_estimates, want.node_estimates)
+    np.testing.assert_array_equal(got.node_confidences, want.node_confidences)
+    np.testing.assert_array_equal(got.used_node_count, want.used_node_count)
+    np.testing.assert_array_equal(got.fallback, want.fallback)
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 7, 40])
+def test_estimate_counts_matches_per_class_loop(q):
+    rng = np.random.default_rng(q)
+    seen = {"full": 0, "skipped": 0, "infinite": 0, "fallback": 0}
+    for _ in range(60):
+        s = int(rng.integers(1, 65))
+        aux, w_prev, w_new, total = random_case(rng, q, s)
+        num_selected = int(rng.integers(1, 20))
+        got = estimate_counts(aux, w_prev, w_new, total, num_selected)
+        want = reference_estimate_counts(aux, w_prev, w_new, total, num_selected)
+        assert_estimates_equal(got, want)
+        infinite = np.isinf(got.node_confidences).any(axis=1)
+        seen["full"] += int(np.sum((got.used_node_count == s) & ~infinite))
+        seen["skipped"] += int(np.sum((got.used_node_count < s) & ~got.fallback))
+        seen["infinite"] += int(np.sum(infinite))
+        seen["fallback"] += int(np.sum(got.fallback))
+    kinds = ("infinite", "fallback") if q == 1 else tuple(seen)
+    assert all(seen[k] > 0 for k in kinds), seen
+
+
+def test_estimate_counts_takes_a_list_of_class_updates():
+    rng = np.random.default_rng(11)
+    aux, w_prev, w_new, total = random_case(rng, 5, 9)
+    as_list = AuxGradients(per_class=list(aux.per_class), n_aux=aux.n_aux)
+    assert_estimates_equal(
+        estimate_counts(as_list, w_prev, w_new, total, 3),
+        reference_estimate_counts(as_list, w_prev, w_new, total, 3),
+    )
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_evaluate_matches_softmax_argmax(seed):
+    rng = np.random.default_rng(seed)
+    q = int(rng.integers(2, 12))
+    model = mlp_init([6, 16, q], seed=seed)
+    features = rng.normal(0.0, 2.0, (500, 6))
+    # Class q - 1 never appears, so its per-class accuracy is NaN.
+    labels = rng.integers(0, q - 1, 500)
+    minority = np.array([0, q - 1])
+    got = evaluate(model, features, labels, minority)
+    want = reference_evaluate(model, features, labels, minority)
+    assert got.accuracy == want.accuracy
+    assert got.minority_accuracy == want.minority_accuracy
+    np.testing.assert_array_equal(got.per_class_accuracy, want.per_class_accuracy)
+    np.testing.assert_array_equal(got.confusion, want.confusion)
+    assert got.confusion.dtype == want.confusion.dtype
+
+
+def test_evaluate_ties_pick_the_first_class():
+    # Zero weights: every logit equals its bias, and classes 1 and 3 tie.
+    model = mlp_init([3, 4], seed=0)
+    model.weights[0][:] = 0.0
+    model.biases[0][:] = [0.0, 2.0, 1.0, 2.0]
+    labels = np.array([0, 1, 2, 3, 1])
+    features = np.zeros((5, 3))
+    got = evaluate(model, features, labels)
+    want = reference_evaluate(model, features, labels)
+    np.testing.assert_array_equal(got.confusion, want.confusion)
+    assert got.accuracy == want.accuracy == 0.4
+
+
+def test_evaluate_rejects_out_of_range_labels():
+    model = mlp_init([3, 4], seed=0)
+    with pytest.raises(ValueError, match="labels"):
+        evaluate(model, np.zeros((2, 3)), np.array([0, 4]))
+
+
+def uneven_clients(num_classes=5, seed=0):
+    rng = np.random.default_rng(seed)
+    clients = []
+    for cid, n in enumerate((1, 7, 16, 33, 0, 64, 5)):
+        ds = make_dataset(
+            rng.normal(0.0, 1.0, (n, 2)),
+            rng.integers(0, num_classes, n),
+            num_classes=num_classes,
+            time_order=rng.permutation(n),
+        )
+        clients.append(ClientDataset(client_id=cid, dataset=ds))
+    return clients
+
+
+@pytest.mark.parametrize("n_latest", [1, 4, 16, 64, 100])
+def test_window_counts_match_per_client_windows(n_latest):
+    clients = uneven_clients()
+    streams = LabelStreams.of(clients)
+    for r in range(9):
+        got = streams.window_counts(n_latest, r, 5)
+        want = reference_window_counts(clients, n_latest, r, 5)
+        np.testing.assert_array_equal(got, want)
+        assert got.dtype == want.dtype
+
+
+@pytest.mark.parametrize("n_latest", [None, 3, 40])
+def test_runner_global_truth_matches_per_client_windows(n_latest):
+    config = synthetic_exp_config(rounds=3, n_latest=n_latest)
+    runner = federation.build_runner(config, seed=0)
+    for r in range(5):
+        if n_latest is None:
+            want = oracle_counts([c.dataset.labels for c in runner.clients], runner.num_classes)
+        else:
+            want = reference_window_counts(runner.clients, n_latest, r, runner.num_classes)
+        np.testing.assert_array_equal(runner._global_truth(r), want)
+
+
+@pytest.mark.parametrize("n_latest", [None, 12])
+def test_each_global_model_is_probed_and_evaluated_once(monkeypatch, n_latest):
+    probed: list[MlpModel] = []
+    evaluated: list[MlpModel] = []
+    probe, evaluate_ = federation.probe_auxiliary, federation.evaluate
+
+    def counting_probe(model, *args, **kwargs):
+        probed.append(model)
+        return probe(model, *args, **kwargs)
+
+    def counting_evaluate(model, *args, **kwargs):
+        evaluated.append(model)
+        return evaluate_(model, *args, **kwargs)
+
+    monkeypatch.setattr(federation, "probe_auxiliary", counting_probe)
+    monkeypatch.setattr(federation, "evaluate", counting_evaluate)
+    config = synthetic_exp_config(rounds=12, drop_threshold=0.9, n_latest=n_latest)
+    report = federation.run_experiment(config, seed=1)
+
+    kept = [not rec.dropped for rec in report.records[1:]]
+    assert 0 < sum(kept) < len(kept)
+    # The initial model, then one per kept round; the model a round adopts
+    # is probed only if another round follows.
+    assert len(evaluated) == 1 + sum(kept)
+    assert len(probed) == 1 + sum(kept[:-1])
+    assert len({id(m) for m in evaluated}) == len(evaluated)
+    assert len({id(m) for m in probed}) == len(probed)
+    for previous, rec in zip(report.records, report.records[1:]):
+        if rec.dropped:
+            assert rec.accuracy == previous.accuracy
+            assert rec.minority_accuracy == previous.minority_accuracy
