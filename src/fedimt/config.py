@@ -1,111 +1,91 @@
 """Strict flat key=value experiment configuration.
 
 One `key = value` pair per line, `#` comments. Unknown keys, duplicate keys,
-and type errors are rejected with the offending line; defaults are listed in
-SCHEMA. Exactly one data source (synthetic generator or IDX files) must be
+and type errors are rejected with the offending line. Each key's type and
+default are declared once, as a field of FlConfig, EstimatorParams or
+ExperimentConfig or in _DATA_SOURCE_KEYS, and SCHEMA is derived from them.
+Exactly one data source (synthetic generator or IDX files) must be
 configured, and referenced files must exist at parse time.
 """
 
 from __future__ import annotations
 
+import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
+from typing import get_args, get_origin, get_type_hints
 
 from .data import PRESETS
 from .estimator import EstimatorParams
-from .federation import ALGORITHMS, STRATEGIES, FlConfig
+from .federation import FlConfig
 
 
 class ConfigError(ValueError):
     pass
 
 
-def _parse_int(text: str) -> int:
-    return int(text)
-
-
 def _parse_float(text: str) -> float:
-    return float(text)
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not a finite number")
+    return value
 
 
-def _parse_str(text: str) -> str:
-    return text
+_PARSERS = {int: int, float: _parse_float, str: str}
 
 
-def _parse_int_list(text: str) -> list[int]:
-    return [int(part.strip()) for part in text.split(",") if part.strip()]
+def _parser_for(hint):
+    """int, float and str parse as themselves, X | None as X, and list[int]
+    or tuple[int, ...] as a comma list."""
+    if type(None) in get_args(hint):
+        (hint,) = (arg for arg in get_args(hint) if arg is not type(None))
+    kind = get_origin(hint)
+    if kind in (list, tuple):
+        return lambda text: kind(int(part.strip()) for part in text.split(",") if part.strip())
+    return _PARSERS[hint]
 
 
-# key -> (parser, default); REQUIRED defaults are enforced after parsing.
+# The default of a key that every config must set.
 _REQUIRED = object()
-SCHEMA: dict[str, tuple] = {
-    "data": (_parse_str, _REQUIRED),  # synthetic | idx
-    "preset": (_parse_str, None),  # tenclass | ford | har
-    "classes": (_parse_int, None),
-    "feature_dim": (_parse_int, None),
-    "class_counts": (_parse_int_list, None),
-    "cluster_scale": (_parse_float, 1.0),
-    "class_separation": (_parse_float, 3.0),
-    "run_length": (_parse_int, 1),
-    "idx_images": (_parse_str, None),
-    "idx_labels": (_parse_str, None),
-    "idx_test_images": (_parse_str, None),
-    "idx_test_labels": (_parse_str, None),
-    "aux_idx_images": (_parse_str, None),  # external probe data instead of resampling
-    "aux_idx_labels": (_parse_str, None),
-    "num_clients": (_parse_int, _REQUIRED),
-    "rounds": (_parse_int, _REQUIRED),
-    "selection_rate": (_parse_float, 0.3),
-    "local_epochs": (_parse_int, 5),
-    "batch_size": (_parse_int, 32),
-    "lr": (_parse_float, 0.001),
-    "momentum": (_parse_float, 0.9),
-    "strategy": (_parse_str, "fedavg"),
-    "prox_mu": (_parse_float, 0.0),
-    "algorithm": (_parse_str, "fedimt"),
-    "n_latest": (_parse_int, None),
-    "drop_threshold": (_parse_float, 0.5),
-    "beta": (_parse_float, 0.999),
-    "baseline_loss": (_parse_str, "plain_ce"),
-    "focal_gamma": (_parse_float, 2.0),
-    "hidden_sizes": (_parse_int_list, [32]),
-    "shards_per_client": (_parse_int, 3),
-    "aux_per_class": (_parse_int, None),  # default 4 * batch_size
-    "test_fraction": (_parse_float, 0.2),
-    "seed": (_parse_int, 0),
-    "seeds": (_parse_int_list, None),
-    "csv_path": (_parse_str, None),
-    "json_path": (_parse_str, None),
-    "scale_cal": (_parse_float, 1.0),
-    "denom_epsilon": (_parse_float, 1e-12),
-    "confidence_floor": (_parse_float, 0.0),
+# The data-source keys are not dataclass fields: `data` picks the source, and
+# the generator keys become ExperimentConfig.synthetic.
+_DATA_SOURCE_KEYS: dict[str, tuple] = {
+    "data": (str, _REQUIRED),  # synthetic | idx
+    "preset": (str, None),  # tenclass | ford | har
+    "classes": (int, None),
+    "feature_dim": (int, None),
+    "class_counts": (list[int], None),
+    "cluster_scale": (float, 1.0),
+    "class_separation": (float, 3.0),
+    "run_length": (int, 1),
 }
-
 _SYNTHETIC_KEYS = ("classes", "feature_dim", "class_counts")
 _IDX_KEYS = ("idx_images", "idx_labels", "idx_test_images", "idx_test_labels")
+# ExperimentConfig fields that no config key fills by name.
+_NOT_KEYS = ("fl", "data_source", "synthetic", "estimator", "skip_eval")
 
 
 @dataclass
 class ExperimentConfig:
     fl: FlConfig
-    data_source: str
-    synthetic: dict | None
-    idx_images: str | None
-    idx_labels: str | None
-    idx_test_images: str | None
-    idx_test_labels: str | None
-    seed: int
-    seeds: list[int] | None
-    csv_path: str | None
-    json_path: str | None
-    shards_per_client: int
-    aux_per_class: int
-    test_fraction: float
-    hidden_sizes: tuple[int, ...]
-    estimator: EstimatorParams = field(default_factory=EstimatorParams)
-    aux_idx_images: str | None = None
+    data_source: str  # the `data` key
+    synthetic: dict | None = None  # the generator keys when data = synthetic
+    idx_images: str | None = None
+    idx_labels: str | None = None
+    idx_test_images: str | None = None
+    idx_test_labels: str | None = None
+    aux_idx_images: str | None = None  # external probe data instead of resampling
     aux_idx_labels: str | None = None
-    skip_eval: bool = False
+    seed: int = 0
+    seeds: list[int] | None = None
+    csv_path: str | None = None
+    json_path: str | None = None
+    shards_per_client: int = 3
+    aux_per_class: int | None = None  # parse_config fills in 4 * batch_size
+    test_fraction: float = 0.2
+    hidden_sizes: tuple[int, ...] = (32,)
+    estimator: EstimatorParams = field(default_factory=EstimatorParams)
+    skip_eval: bool = False  # set by `fedimt estimate`, not by a config key
 
     def validate(self) -> None:
         self.fl.validate()
@@ -135,48 +115,38 @@ class ExperimentConfig:
             raise ConfigError("aux_idx_images and aux_idx_labels must be set together")
 
     def to_dict(self) -> dict:
-        out = {
-            "data": self.data_source,
-            "num_clients": self.fl.num_clients,
-            "rounds": self.fl.rounds,
-            "selection_rate": self.fl.selection_rate,
-            "local_epochs": self.fl.local_epochs,
-            "batch_size": self.fl.batch_size,
-            "lr": self.fl.lr,
-            "momentum": self.fl.momentum,
-            "strategy": self.fl.strategy,
-            "prox_mu": self.fl.prox_mu,
-            "algorithm": self.fl.algorithm,
-            "n_latest": self.fl.n_latest,
-            "drop_threshold": self.fl.drop_threshold,
-            "beta": self.fl.beta,
-            "baseline_loss": self.fl.baseline_loss,
-            "focal_gamma": self.fl.focal_gamma,
-            "hidden_sizes": list(self.hidden_sizes),
-            "shards_per_client": self.shards_per_client,
-            "aux_per_class": self.aux_per_class,
-            "test_fraction": self.test_fraction,
-            "seed": self.seed,
-            "seeds": self.seeds,
-            "csv_path": self.csv_path,
-            "json_path": self.json_path,
-            "scale_cal": self.estimator.scale_cal,
-            "denom_epsilon": self.estimator.denom_epsilon,
-            "confidence_floor": self.estimator.confidence_floor,
-            "aux_idx_images": self.aux_idx_images,
-            "aux_idx_labels": self.aux_idx_labels,
-            "skip_eval": self.skip_eval,
-        }
+        """The report's flat config echo: every parsed key but `preset`, the
+        synthetic or the idx keys as the data source has them, and skip_eval."""
+        out = asdict(self)
+        out.update(out.pop("fl"))
+        out.update(out.pop("estimator"))
+        out["data"] = out.pop("data_source")
+        out["hidden_sizes"] = list(self.hidden_sizes)
+        synthetic = out.pop("synthetic")
         if self.data_source == "synthetic":
-            out.update(self.synthetic)
-        else:
-            out.update(
-                idx_images=self.idx_images,
-                idx_labels=self.idx_labels,
-                idx_test_images=self.idx_test_images,
-                idx_test_labels=self.idx_test_labels,
-            )
+            out.update(synthetic)
+            for key in _IDX_KEYS:
+                del out[key]
         return out
+
+
+def _declared_keys(cls) -> dict[str, tuple]:
+    hints = get_type_hints(cls)
+    return {
+        f.name: (hints[f.name], _REQUIRED if f.default is MISSING else f.default)
+        for f in fields(cls)
+        if f.name not in _NOT_KEYS
+    }
+
+
+# Each config dataclass's keys: name -> (type hint, default).
+_DECLARED = {cls: _declared_keys(cls) for cls in (FlConfig, ExperimentConfig, EstimatorParams)}
+# key -> (parser, default), in the order parse_config reports errors.
+SCHEMA: dict[str, tuple] = {
+    key: (_parser_for(hint), default)
+    for declared in (_DATA_SOURCE_KEYS, *_DECLARED.values())
+    for key, (hint, default) in declared.items()
+}
 
 
 def _read_pairs(path: str) -> dict[str, tuple[str, int]]:
@@ -205,26 +175,19 @@ def parse_config(path: str) -> ExperimentConfig:
     pairs = _read_pairs(path)
     values: dict = {}
     for key, (parser, default) in SCHEMA.items():
-        if key in pairs:
-            text, lineno = pairs[key]
-            try:
-                values[key] = parser(text)
-            except ValueError as exc:
-                raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from exc
-        else:
+        if key not in pairs:
+            if default is _REQUIRED:
+                raise ConfigError(f"{path}: missing required key {key!r}")
             values[key] = default
-
-    for key, value in values.items():
-        if value is _REQUIRED:
-            raise ConfigError(f"{path}: missing required key {key!r}")
-
-    data = values["data"]
-    if data not in ("synthetic", "idx"):
-        lineno = pairs["data"][1]
-        raise ConfigError(f"{path}:{lineno}: data must be 'synthetic' or 'idx'")
+            continue
+        text, lineno = pairs[key]
+        try:
+            values[key] = parser(text)
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from exc
 
     synthetic = None
-    if data == "synthetic":
+    if values["data"] == "synthetic":
         if values["preset"] is not None:
             if values["preset"] not in PRESETS:
                 lineno = pairs["preset"][1]
@@ -232,95 +195,42 @@ def parse_config(path: str) -> ExperimentConfig:
                     f"{path}:{lineno}: unknown preset {values['preset']!r} "
                     f"(choose from {sorted(PRESETS)})"
                 )
-            preset = PRESETS[values["preset"]]
-            for key, preset_value in preset.items():
+            for key, preset_value in PRESETS[values["preset"]].items():
                 if key not in pairs:
                     values[key] = preset_value
         missing = [k for k in _SYNTHETIC_KEYS if values[k] is None]
         if missing:
             raise ConfigError(f"{path}: synthetic data source needs keys {missing}")
-        synthetic = {
-            "classes": values["classes"],
-            "feature_dim": values["feature_dim"],
-            "class_counts": values["class_counts"],
-            "cluster_scale": values["cluster_scale"],
-            "class_separation": values["class_separation"],
-            "run_length": values["run_length"],
-        }
+        synthetic = {k: values[k] for k in _DATA_SOURCE_KEYS if k not in ("data", "preset")}
         set_idx = [k for k in _IDX_KEYS if values[k] is not None]
         if set_idx:
             raise ConfigError(f"{path}: synthetic data source conflicts with keys {set_idx}")
-    else:
+    elif values["data"] == "idx":
         missing = [k for k in _IDX_KEYS if values[k] is None]
         if missing:
             raise ConfigError(f"{path}: idx data source needs keys {missing}")
-        for key in _IDX_KEYS:
-            if not os.path.exists(values[key]):
-                lineno = pairs[key][1]
-                raise ConfigError(f"{path}:{lineno}: file not found: {values[key]}")
 
-    for key in ("aux_idx_images", "aux_idx_labels"):
+    for key in (*_IDX_KEYS, "aux_idx_images", "aux_idx_labels"):
         if values[key] is not None and not os.path.exists(values[key]):
             lineno = pairs[key][1]
             raise ConfigError(f"{path}:{lineno}: file not found: {values[key]}")
 
     # The latest-window scheme trains on fresher data; bump the default lr
     # unless the config pinned one explicitly.
-    lr = values["lr"]
     if values["n_latest"] is not None and "lr" not in pairs:
-        lr = 0.002
+        values["lr"] = 0.002
+    if values["aux_per_class"] is None:
+        values["aux_per_class"] = 4 * values["batch_size"]
 
-    fl = FlConfig(
-        num_clients=values["num_clients"],
-        rounds=values["rounds"],
-        selection_rate=values["selection_rate"],
-        local_epochs=values["local_epochs"],
-        batch_size=values["batch_size"],
-        lr=lr,
-        momentum=values["momentum"],
-        strategy=values["strategy"],
-        prox_mu=values["prox_mu"],
-        algorithm=values["algorithm"],
-        n_latest=values["n_latest"],
-        drop_threshold=values["drop_threshold"],
-        beta=values["beta"],
-        baseline_loss=values["baseline_loss"],
-        focal_gamma=values["focal_gamma"],
-    )
-    if fl.strategy not in STRATEGIES:
-        lineno = pairs["strategy"][1]
-        raise ConfigError(f"{path}:{lineno}: unknown strategy {fl.strategy!r}")
-    if fl.algorithm not in ALGORITHMS:
-        lineno = pairs["algorithm"][1]
-        raise ConfigError(f"{path}:{lineno}: unknown algorithm {fl.algorithm!r}")
+    def build(cls, **rest):
+        return cls(**{key: values[key] for key in _DECLARED[cls]}, **rest)
 
-    config = ExperimentConfig(
-        fl=fl,
-        data_source=data,
+    config = build(
+        ExperimentConfig,
+        fl=build(FlConfig),
+        estimator=build(EstimatorParams),
+        data_source=values["data"],
         synthetic=synthetic,
-        idx_images=values["idx_images"],
-        idx_labels=values["idx_labels"],
-        idx_test_images=values["idx_test_images"],
-        idx_test_labels=values["idx_test_labels"],
-        seed=values["seed"],
-        seeds=values["seeds"],
-        csv_path=values["csv_path"],
-        json_path=values["json_path"],
-        shards_per_client=values["shards_per_client"],
-        aux_per_class=(
-            values["aux_per_class"]
-            if values["aux_per_class"] is not None
-            else 4 * values["batch_size"]
-        ),
-        test_fraction=values["test_fraction"],
-        hidden_sizes=tuple(values["hidden_sizes"]),
-        estimator=EstimatorParams(
-            denom_epsilon=values["denom_epsilon"],
-            confidence_floor=values["confidence_floor"],
-            scale_cal=values["scale_cal"],
-        ),
-        aux_idx_images=values["aux_idx_images"],
-        aux_idx_labels=values["aux_idx_labels"],
     )
     try:
         config.validate()

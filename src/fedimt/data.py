@@ -80,7 +80,7 @@ class SyntheticSpec:
     num_classes: int
     feature_dim: int
     means: Array  # (Q, d)
-    scales: Array  # (Q,) per-class isotropic std
+    cluster_scale: float  # isotropic std shared by every class
     counts: Array  # (Q,) samples per class
     run_length: int = 1  # mean same-class arrival burst, >= 1
 
@@ -115,7 +115,7 @@ def make_synthetic_spec(
         num_classes=num_classes,
         feature_dim=feature_dim,
         means=means,
-        scales=np.full(num_classes, float(cluster_scale)),
+        cluster_scale=float(cluster_scale),
         counts=np.asarray(counts, dtype=int),
         run_length=int(run_length),
     )
@@ -144,13 +144,13 @@ def _bursty_order(labels: Array, run_length: int, rng: np.random.Generator) -> A
 
 
 def gen_synthetic(spec: SyntheticSpec, seed: int) -> Dataset:
-    """Draw spec.counts[q] points from N(mean_q, scale_q^2 I) per class."""
+    """Draw spec.counts[q] points from N(mean_q, cluster_scale^2 I) per class."""
     spec.validate()
     rng = np.random.default_rng(seed)
     feats, labs = [], []
     for q in range(spec.num_classes):
         c = int(spec.counts[q])
-        feats.append(spec.means[q] + rng.normal(0.0, spec.scales[q], (c, spec.feature_dim)))
+        feats.append(spec.means[q] + rng.normal(0.0, spec.cluster_scale, (c, spec.feature_dim)))
         labs.append(np.full(c, q, dtype=int))
     features = np.concatenate(feats)
     labels = np.concatenate(labs)
@@ -251,34 +251,28 @@ def shard_partition(
     return clients
 
 
-def _window_span(sizes, n_latest: int, round_index: int, step: int | None = None):
+def _window_span(sizes, n_latest: int, round_index: int):
     """Start and width of each client's latest-n window as of a round, in
     positions along the client's arrival stream (sizes: samples per client).
 
     Arrivals replay the client's trace as a circular stream: by round r the
-    cursor sits at n_latest + r*step, and the window covers the n_latest
-    positions behind it. n_latest >= total degenerates to the whole dataset.
+    cursor sits at n_latest + r*step with step = max(1, n_latest // 2), and
+    the window covers the n_latest positions behind it. n_latest >= total
+    degenerates to the whole dataset.
     """
     if n_latest < 1:
         raise ValueError("n_latest must be >= 1")
-    if step is None:
-        step = max(1, n_latest // 2)
     width = np.minimum(n_latest, sizes)
-    cursor = n_latest + round_index * step
+    cursor = n_latest + round_index * max(1, n_latest // 2)
     return cursor - width, width
 
 
-def window_latest(
-    client: ClientDataset,
-    n_latest: int,
-    round_index: int,
-    step: int | None = None,
-) -> TrainingSlice:
+def window_latest(client: ClientDataset, n_latest: int, round_index: int) -> TrainingSlice:
     """The client's most recent n_latest samples as of a round (the
     positions follow _window_span)."""
     ds = client.dataset
     n = len(ds)
-    start, width = _window_span(n, n_latest, round_index, step)
+    start, width = _window_span(n, n_latest, round_index)
     idx = ds.time_order[np.arange(start, start + width) % n]
     return TrainingSlice(features=ds.features[idx], labels=ds.labels[idx])
 

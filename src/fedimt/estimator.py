@@ -43,6 +43,8 @@ class EstimatorParams:
     def validate(self) -> None:
         if self.denom_epsilon <= 0.0:
             raise ValueError("denom_epsilon must be > 0")
+        if not self.scale_cal > 0.0:
+            raise ValueError("scale_cal must be > 0")
 
 
 @dataclass

@@ -103,6 +103,8 @@ class FlConfig:
             raise ValueError("local_epochs must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if not self.lr > 0.0:
+            raise ValueError("lr must be > 0")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError("momentum must be in [0, 1)")
         if self.strategy not in STRATEGIES:

@@ -69,27 +69,19 @@ def _check_ratio(state: RatioObserverState, r_j: Array) -> Array:
     return r_j
 
 
-def observer_update(
-    state: RatioObserverState, r_j: Array, gain: float | None = None
-) -> RatioObserverState:
+def observer_update(state: RatioObserverState, r_j: Array) -> RatioObserverState:
     """Fold one round's estimate into the state.
 
     The first observation is adopted verbatim. Afterwards the raw recursion
     (1-gain)/2 * previous + gain/2 * new is applied and renormalized to sum 1:
     the raw coefficients add to 1/2, so without renormalization the state
     would decay toward zero instead of tracking a ratio.
-
-    gain overrides the configured value for this update only, for setups
-    where the selected-client fraction varies per round.
     """
     r_j = _check_ratio(state, r_j)
-    step_gain = state.gain if gain is None else gain
-    if not 0.0 < step_gain <= 1.0:
-        raise ValueError(f"gain must be in (0, 1], got {step_gain}")
     if state.round_count == 0:
         new_ratio = r_j.copy()
     else:
-        raw = (1.0 - step_gain) / 2.0 * state.ratio + step_gain / 2.0 * r_j
+        raw = (1.0 - state.gain) / 2.0 * state.ratio + state.gain / 2.0 * r_j
         new_ratio = raw / raw.sum()
     return RatioObserverState(
         ratio=new_ratio,

@@ -50,10 +50,108 @@ class TestDefaults:
         assert cfg.fl.lr == 0.005
 
 
+class TestSurface:
+    def test_skip_eval_is_not_a_key(self, tmp_path):
+        path = write_cfg(tmp_path, MINIMAL + "skip_eval = 1\n")
+        with pytest.raises(ConfigError, match=r"7: unknown key 'skip_eval'"):
+            parse_config(path)
+
+    def test_whole_config_echo(self, tmp_path):
+        # every key the report echoes, with its default
+        cfg = parse_config(write_cfg(tmp_path, MINIMAL))
+        assert cfg.to_dict() == {
+            "data": "synthetic",
+            "classes": 3,
+            "feature_dim": 4,
+            "class_counts": [30, 20, 10],
+            "cluster_scale": 1.0,
+            "class_separation": 3.0,
+            "run_length": 1,
+            "num_clients": 5,
+            "rounds": 8,
+            "selection_rate": 0.3,
+            "local_epochs": 5,
+            "batch_size": 32,
+            "lr": 0.001,
+            "momentum": 0.9,
+            "strategy": "fedavg",
+            "prox_mu": 0.0,
+            "algorithm": "fedimt",
+            "n_latest": None,
+            "drop_threshold": 0.5,
+            "beta": 0.999,
+            "baseline_loss": "plain_ce",
+            "focal_gamma": 2.0,
+            "aux_idx_images": None,
+            "aux_idx_labels": None,
+            "seed": 0,
+            "seeds": None,
+            "csv_path": None,
+            "json_path": None,
+            "shards_per_client": 3,
+            "aux_per_class": 128,
+            "test_fraction": 0.2,
+            "hidden_sizes": [32],
+            "denom_epsilon": 1e-12,
+            "confidence_floor": 0.0,
+            "scale_cal": 1.0,
+            "skip_eval": False,
+        }
+
+
+FLOAT_KEYS = (
+    "cluster_scale",
+    "class_separation",
+    "selection_rate",
+    "lr",
+    "momentum",
+    "prox_mu",
+    "drop_threshold",
+    "beta",
+    "focal_gamma",
+    "test_fraction",
+    "denom_epsilon",
+    "confidence_floor",
+    "scale_cal",
+)
+
+
 class TestStrictness:
     def test_unknown_key_named_with_line(self, tmp_path):
         path = write_cfg(tmp_path, MINIMAL + "learning_rat = 0.1\n")
         with pytest.raises(ConfigError, match=r"7: unknown key 'learning_rat'"):
+            parse_config(path)
+
+    @pytest.mark.parametrize("key", FLOAT_KEYS)
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_float_named_with_line(self, tmp_path, key, bad):
+        path = write_cfg(tmp_path, MINIMAL + f"{key} = {bad}\n")
+        with pytest.raises(ConfigError, match=rf"exp\.cfg:7: bad value for '{key}'.*not a finite"):
+            parse_config(path)
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("lr = 0", "lr must be > 0"),
+            ("lr = -1", "lr must be > 0"),
+            ("scale_cal = 0", "scale_cal must be > 0"),
+        ],
+    )
+    def test_non_positive_step_scales_rejected(self, tmp_path, line, message):
+        with pytest.raises(ConfigError, match=message):
+            parse_config(write_cfg(tmp_path, MINIMAL + line + "\n"))
+
+    @pytest.mark.parametrize(
+        "old, new, bad",
+        [
+            ("data = synthetic", "data = sintetic", "sintetic"),
+            ("rounds = 8", "rounds = 8\nstrategy = avg", "avg"),
+            ("rounds = 8", "rounds = 8\nalgorithm = imt", "imt"),
+        ],
+    )
+    def test_unknown_choice_names_file_and_value(self, tmp_path, old, new, bad):
+        path = write_cfg(tmp_path, MINIMAL.replace(old, new))
+        with pytest.raises(ConfigError, match=rf"exp\.cfg: .*'{bad}'"):
             parse_config(path)
 
     def test_type_mismatch_named_with_line(self, tmp_path):

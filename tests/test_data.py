@@ -176,26 +176,29 @@ class TestWindowLatest:
         np.testing.assert_array_equal(sl.labels, [1, 0])
 
     def test_burst_ratio_rises_then_falls(self):
-        # arrival: 8 of class 0, then a 12-long burst of class 1, then 8 of class 0
+        # arrival: 8 of class 0, then a 12-long burst of class 1, then 8 of class 0;
+        # the window of 8 advances by 4 positions per round
         labels = [0] * 8 + [1] * 12 + [0] * 8
         feats = np.zeros((len(labels), 2))
         client = make_client(feats, labels)
         ratios = []
         for r in range(0, 20):
-            sl = window_latest(client, n_latest=8, round_index=r, step=2)
+            sl = window_latest(client, n_latest=8, round_index=r)
             ratios.append(float(np.mean(sl.labels == 1)))
         peak = int(np.argmax(ratios))
         assert ratios[peak] == 1.0
         assert ratios[0] == 0.0
+        assert 0.0 < ratios[1] < 1.0
         assert min(ratios[peak:]) < 1.0
 
     def test_slices_are_contiguous_stream_suffixes(self):
+        # a window of 4 advances by 2 positions per round
         client = make_client(np.arange(20.0).reshape(10, 2), [0, 1, 1, 0, 2] * 2)
-        a = window_latest(client, 4, round_index=0, step=1)
-        b = window_latest(client, 4, round_index=1, step=1)
-        np.testing.assert_array_equal(a.features[1:], b.features[:-1])
-        np.testing.assert_array_equal(a.labels[1:], b.labels[:-1])
-        np.testing.assert_array_equal(b.features[-1], client.dataset.features[4])
+        a = window_latest(client, 4, round_index=0)
+        b = window_latest(client, 4, round_index=1)
+        np.testing.assert_array_equal(a.features[2:], b.features[:-2])
+        np.testing.assert_array_equal(a.labels[2:], b.labels[:-2])
+        np.testing.assert_array_equal(b.features[-2:], client.dataset.features[4:6])
 
     def test_n_latest_precondition(self):
         client = make_client(np.zeros((4, 2)), [0, 1, 0, 1])

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedimt.observer import (
+    _PROB_TOL,
     balanced_weights,
     cosine_similarity,
     mismatch_check,
@@ -111,15 +112,23 @@ class TestObserverUpdate:
         with pytest.raises(ValueError):
             observer_update(state, np.array([bad, 0.5, 0.5]))
 
-    def test_per_round_gain_override(self):
-        state = observer_init(2, gain=0.3)
-        state = observer_update(state, np.array([0.5, 0.5]))
-        high = observer_update(state, np.array([0.9, 0.1]), gain=0.8)
-        low = observer_update(state, np.array([0.9, 0.1]), gain=0.1)
-        assert high.ratio[0] > low.ratio[0]
-        assert state.gain == 0.3  # configured gain untouched
-        with pytest.raises(ValueError):
-            observer_update(state, np.array([0.9, 0.1]), gain=0.0)
+    @given(
+        st.integers(2, 12).flatmap(
+            lambda q: st.lists(
+                st.lists(st.floats(0.0, 1.0), min_size=q, max_size=q).filter(lambda xs: sum(xs) > 0),
+                min_size=1,
+                max_size=6,
+            )
+        ),
+        st.floats(0.0, 1.0, exclude_min=True),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_ratio_stays_on_simplex(self, observations, gain):
+        state = observer_init(len(observations[0]), gain=gain)
+        for xs in observations:
+            state = observer_update(state, np.array(xs) / np.sum(xs))
+            assert np.all(state.ratio >= 0.0)
+            assert abs(state.ratio.sum() - 1.0) <= _PROB_TOL
 
 
 class TestMismatchCheck:
