@@ -2,7 +2,9 @@
 """SHA-256 of the CSV and JSON bytes that fedimt writes, one line per run.
 
 Covers the three shipped synthetic configs at seed 0 and the benchmark's
-tenclass_train and manyclass_server workloads at the given seeds. Two trees
+three workloads at the given seeds: tenclass_train, manyclass_server and
+ford_focal_prox, the baseline run whose report leaves the estimator columns
+empty and its JSON fields null. Two trees
 whose outputs must be byte-identical print identical lines, so comparing a
 change against its parent is a diff of two outputs:
 
@@ -22,7 +24,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SHIPPED = ("estimation_10class", "ford_imbalance", "har_nlatest")
-WORKLOADS = ("tenclass_train", "manyclass_server")
+WORKLOADS = ("tenclass_train", "manyclass_server", "ford_focal_prox")
 
 sys.dont_write_bytecode = True
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "fedbench")]

@@ -32,16 +32,21 @@ from .estimator import (
 )
 from .federation import (
     ClientUpdate,
-    ExperimentReport,
     FederatedRunner,
     FlConfig,
-    RoundRecord,
     aggregate,
     local_update,
     run_experiment,
     select_clients,
 )
-from .metrics import EvalResult, evaluate, report_from_json, write_metrics
+from .metrics import (
+    EvalResult,
+    ExperimentReport,
+    RoundRecord,
+    evaluate,
+    report_from_json,
+    write_metrics,
+)
 from .nn import (
     Activations,
     Gradients,

@@ -22,7 +22,7 @@ import numpy as np
 from .config import ConfigError, ExperimentConfig, parse_config
 from .data import write_idx
 from .federation import _build_datasets, run_experiment
-from .metrics import write_metrics
+from .metrics import SUMMARY_FLOATS, write_metrics
 
 
 def _default_paths(config: ExperimentConfig, config_path: str) -> tuple[str, str]:
@@ -53,7 +53,7 @@ def _run_one(config: ExperimentConfig, seed: int, csv_path: str, json_path: str)
 
 def _summary_line(seed: int, summary: dict) -> str:
     parts = [f"seed={seed}"]
-    for key in ("final_acc", "final_acc_minority", "mean_T_j", "mean_T_G"):
+    for key in SUMMARY_FLOATS:
         value = summary.get(key)
         if value is not None:
             parts.append(f"{key}={value:.4f}")
@@ -91,7 +91,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         "per_seed": {str(s): summaries[s] for s in seeds},
         "mean": {
             key: float(np.mean([summaries[s][key] for s in seeds]))
-            for key in ("final_acc", "final_acc_minority", "mean_T_j", "mean_T_G")
+            for key in SUMMARY_FLOATS
             if all(summaries[s].get(key) is not None for s in seeds)
         },
     }

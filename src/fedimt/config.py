@@ -10,12 +10,13 @@ configured, and referenced files must exist at parse time.
 
 from __future__ import annotations
 
+import inspect
 import math
 import os
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from typing import get_args, get_origin, get_type_hints
 
-from .data import PRESETS
+from .data import PRESETS, make_synthetic_spec
 from .estimator import EstimatorParams
 from .federation import FlConfig
 
@@ -47,17 +48,19 @@ def _parser_for(hint):
 
 # The default of a key that every config must set.
 _REQUIRED = object()
+_GENERATOR = inspect.signature(make_synthetic_spec).parameters
 # The data-source keys are not dataclass fields: `data` picks the source, and
-# the generator keys become ExperimentConfig.synthetic.
+# the generator keys become ExperimentConfig.synthetic. The generator's
+# tuning keys take their defaults from make_synthetic_spec.
 _DATA_SOURCE_KEYS: dict[str, tuple] = {
     "data": (str, _REQUIRED),  # synthetic | idx
     "preset": (str, None),  # tenclass | ford | har
     "classes": (int, None),
     "feature_dim": (int, None),
     "class_counts": (list[int], None),
-    "cluster_scale": (float, 1.0),
-    "class_separation": (float, 3.0),
-    "run_length": (int, 1),
+    "cluster_scale": (float, _GENERATOR["cluster_scale"].default),
+    "class_separation": (float, _GENERATOR["class_separation"].default),
+    "run_length": (int, _GENERATOR["run_length"].default),
 }
 _SYNTHETIC_KEYS = ("classes", "feature_dim", "class_counts")
 _IDX_KEYS = ("idx_images", "idx_labels", "idx_test_images", "idx_test_labels")

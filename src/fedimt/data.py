@@ -90,6 +90,8 @@ class SyntheticSpec:
             raise ValueError("need num_classes >= 1 and feature_dim >= 1")
         if self.means.shape != (q, d):
             raise ValueError(f"means shape {self.means.shape} != ({q}, {d})")
+        if not self.cluster_scale >= 0.0:
+            raise ValueError(f"cluster_scale must be >= 0, got {self.cluster_scale}")
         if np.any(self.counts < 0):
             raise ValueError("counts must be >= 0")
         if int(self.counts.sum()) == 0:

@@ -18,7 +18,7 @@ master seed, so runs are fully deterministic.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -45,7 +45,7 @@ from .estimator import (
     oracle_counts,
     probe_auxiliary,
 )
-from .metrics import evaluate
+from .metrics import ExperimentReport, RoundRecord, evaluate, summarize_records
 from .nn import Array, LossSpec, MlpModel, OptState, backward, compute_loss, forward, mlp_init, sgd_step
 from .observer import balanced_weights, cosine_similarity, mismatch_check, observer_init, observer_update
 
@@ -115,6 +115,8 @@ class FlConfig:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
         if self.n_latest is not None and self.n_latest < 1:
             raise ValueError("n_latest must be >= 1 when set")
+        if not 0.0 <= self.drop_threshold <= 1.0:
+            raise ValueError("drop_threshold must be in [0, 1]")
         if not 0.0 <= self.beta < 1.0:
             raise ValueError("beta must be in [0, 1)")
         if self.baseline_loss not in ("plain_ce", "focal"):
@@ -134,31 +136,6 @@ class ClientUpdate:
     sample_count: int
     local_steps: int
     train_loss: float
-
-
-@dataclass
-class RoundRecord:
-    index: int
-    selected_clients: list[int]
-    estimated_counts: Array | None
-    round_ratio: Array | None
-    observer_ratio: Array | None
-    t_round: float | None
-    t_global: float | None
-    dropped: bool | None
-    drop_similarity: float | None
-    accuracy: float | None
-    minority_accuracy: float | None
-    train_loss: float | None
-
-
-@dataclass
-class ExperimentReport:
-    seed: int
-    num_classes: int
-    config: dict
-    records: list[RoundRecord]
-    summary: dict
 
 
 def select_clients(num_clients: int, rate: float, round_index: int, seed) -> list[int]:
@@ -359,13 +336,10 @@ class FederatedRunner:
     def _build_loss_spec(self) -> LossSpec:
         if not self._tracking:
             return LossSpec(kind=self.config.baseline_loss, gamma=self.config.focal_gamma)
-        ratio = self.observer.ratio
-        per_class_n = np.maximum(1.0, np.rint(self._n_ref * ratio))
         return LossSpec(
             kind="class_balanced",
             beta=self.config.beta,
-            per_class_n=per_class_n,
-            class_weights=balanced_weights(ratio, self._n_ref, self.config.beta),
+            class_weights=balanced_weights(self.observer.ratio, self._n_ref, self.config.beta),
         )
 
     def _client_scope(self, client: ClientDataset, round_index: int) -> TrainingSlice:
@@ -413,20 +387,7 @@ class FederatedRunner:
     def initial_record(self) -> RoundRecord:
         """Round-0 row: evaluation of the untrained model, nothing else."""
         acc, acc_m = self._evaluate()
-        return RoundRecord(
-            index=0,
-            selected_clients=[],
-            estimated_counts=None,
-            round_ratio=None,
-            observer_ratio=None,
-            t_round=None,
-            t_global=None,
-            dropped=None,
-            drop_similarity=None,
-            accuracy=acc,
-            minority_accuracy=acc_m,
-            train_loss=None,
-        )
+        return RoundRecord(index=0, accuracy=acc, minority_accuracy=acc_m)
 
     def run_round(self) -> RoundRecord:
         j = self.round_index
@@ -445,28 +406,23 @@ class FederatedRunner:
             [derive_seed(self.seed, _STREAM_CLIENT, j, cid) for cid in selected],
         )
 
-        estimated = round_ratio = observer_ratio = None
-        t_round = t_global = drop_similarity = None
-        dropped: bool | None = False
-        train_loss = None
-
+        rec = RoundRecord(index=j + 1, selected_clients=selected, dropped=False)
         if updates:
             candidate = aggregate(updates, self.model, self.config.strategy)
-            train_loss = float(np.mean([u.train_loss for u in updates]))
+            rec.train_loss = float(np.mean([u.train_loss for u in updates]))
             if self._tracking:
                 if self.config.n_latest is not None:
                     total = float(self.config.n_latest * len(updates))
                 else:
                     total = float(sum(u.sample_count for u in updates))
-                estimated, round_ratio = self._estimate_round_ratio(
+                rec.estimated_counts, rec.round_ratio = self._estimate_round_ratio(
                     candidate, total, len(updates)
                 )
                 if self.observer.round_count >= 1:
-                    decision = mismatch_check(self.observer, round_ratio)
-                    dropped = decision.dropped
-                    drop_similarity = decision.similarity
-                self.observer = observer_update(self.observer, round_ratio)
-                if not dropped:
+                    decision = mismatch_check(self.observer, rec.round_ratio)
+                    rec.dropped, rec.drop_similarity = decision.dropped, decision.similarity
+                self.observer = observer_update(self.observer, rec.round_ratio)
+                if not rec.dropped:
                     self._adopt(candidate)
                 self._n_ref = max(float(self.num_classes), total)
                 self.loss_spec = self._build_loss_spec()
@@ -474,52 +430,18 @@ class FederatedRunner:
                 self._adopt(candidate)
 
         if self._tracking:
-            observer_ratio = self.observer.ratio.copy()
-            if round_ratio is not None:
+            rec.observer_ratio = self.observer.ratio.copy()
+            if rec.round_ratio is not None:
                 truth = oracle_counts(round_labels, self.num_classes)
                 if truth.sum() > 0:
-                    t_round = cosine_similarity(round_ratio, counts_to_ratio(truth))
+                    rec.t_round = cosine_similarity(rec.round_ratio, counts_to_ratio(truth))
             global_truth = self._global_truth(j)
             if global_truth.sum() > 0:
-                t_global = cosine_similarity(observer_ratio, counts_to_ratio(global_truth))
+                rec.t_global = cosine_similarity(rec.observer_ratio, counts_to_ratio(global_truth))
 
-        acc, acc_m = self._evaluate()
+        rec.accuracy, rec.minority_accuracy = self._evaluate()
         self.round_index += 1
-        return RoundRecord(
-            index=self.round_index,
-            selected_clients=selected,
-            estimated_counts=estimated,
-            round_ratio=round_ratio,
-            observer_ratio=observer_ratio,
-            t_round=t_round,
-            t_global=t_global,
-            dropped=dropped,
-            drop_similarity=drop_similarity,
-            accuracy=acc,
-            minority_accuracy=acc_m,
-            train_loss=train_loss,
-        )
-
-
-def summarize_records(records: list[RoundRecord]) -> dict:
-    def last_value(getter):
-        for rec in reversed(records):
-            value = getter(rec)
-            if value is not None:
-                return float(value)
-        return None
-
-    def mean_value(getter):
-        values = [getter(r) for r in records if getter(r) is not None]
-        return float(np.mean(values)) if values else None
-
-    return {
-        "final_acc": last_value(lambda r: r.accuracy),
-        "final_acc_minority": last_value(lambda r: r.minority_accuracy),
-        "mean_T_j": mean_value(lambda r: r.t_round),
-        "mean_T_G": mean_value(lambda r: r.t_global),
-        "drop_count": int(sum(1 for r in records if r.dropped)),
-    }
+        return rec
 
 
 def minority_classes_of(train_counts: Array) -> Array:
@@ -555,16 +477,7 @@ def _build_datasets(config: "ExperimentConfig", seed) -> tuple[Dataset, Dataset]
     test_counts = np.where(
         (np.asarray(params["class_counts"]) > 0) & (test_counts == 0), 1, test_counts
     )
-    test_spec = make_synthetic_spec(
-        params["classes"],
-        params["feature_dim"],
-        test_counts,
-        cluster_scale=params["cluster_scale"],
-        class_separation=params["class_separation"],
-        run_length=params["run_length"],
-        seed=derive_seed(seed, _STREAM_MEANS),
-    )
-    test = gen_synthetic(test_spec, derive_seed(seed, _STREAM_TEST_DATA))
+    test = gen_synthetic(replace(spec, counts=test_counts), derive_seed(seed, _STREAM_TEST_DATA))
     return train, test
 
 

@@ -1,15 +1,18 @@
-"""Evaluation and deterministic experiment outputs.
+"""Evaluation, the experiment report and its deterministic outputs.
 
-CSV rows cover one round each (round 0 is the initial evaluation); numbers
-are printed with 9 significant digits and identical runs produce byte-equal
-files. JSON mirrors the full report losslessly and round-trips back into
-report objects.
+RoundRecord declares every per-round output once; the CSV columns, the JSON
+records and the JSON reader all derive from its fields. CSV rows cover one
+round each (round 0 is the initial evaluation); numbers are printed with 9
+significant digits and identical runs produce byte-equal files. JSON mirrors
+the full report losslessly and round-trips back into report objects.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import MISSING, dataclass, field, fields
+from typing import NamedTuple, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -64,35 +67,125 @@ def evaluate(
     )
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return f"{float(value):.9g}"
+class _Codec(NamedTuple):
+    """How one RoundRecord field is written and read, chosen from its type."""
+
+    to_json: Callable
+    from_json: Callable
+    to_csv: Callable  # (value, num_classes) -> list of cells
+
+
+def _unless_none(convert: Callable) -> Callable:
+    return lambda value: None if value is None else convert(value)
+
+
+def _same(value):
+    return value
+
+
+def _float_cell(value) -> str:
+    return "" if value is None else f"{float(value):.9g}"
+
+
+def _codec(hint) -> _Codec:
+    """An array is a list of floats, a float a float and a list of ints a
+    list of ints; an int or a bool passes through. CSV cells carry 9
+    significant digits, a bool reads 1 or 0, and None is an empty cell."""
+    args = get_args(hint) or (hint,)
+    if Array in args:
+        return _Codec(
+            _unless_none(lambda values: np.asarray(values, dtype=float).tolist()),
+            _unless_none(lambda values: np.asarray(values, dtype=float)),
+            lambda values, q: [""] * q if values is None else [_float_cell(v) for v in values],
+        )
+    if float in args:
+        return _Codec(_unless_none(float), _same, lambda value, q: [_float_cell(value)])
+    if get_origin(hint) is list:
+        return _Codec(lambda values: [int(v) for v in values], list, None)
+    if bool in args:
+        return _Codec(_same, _same, lambda value, q: ["" if value is None else str(int(value))])
+    return _Codec(_same, _same, lambda value, q: [str(value)])
+
+
+def _out(key: str, csv: bool | str = False, **default):
+    """A report field: its JSON key and its CSV column, declared once. csv is
+    True for one column named key, or a prefix for one column per class."""
+    return field(**(default or {"default": None}), metadata={"key": key, "csv": csv})
+
+
+@dataclass
+class RoundRecord:
+    """One round of the report; round 0 is the initial evaluation.
+
+    Each field names its JSON key and its CSV column once, here. The CSV
+    shows the csv fields in declaration order, and the JSON every field;
+    a field that a round leaves unset is None.
+    """
+
+    index: int = _out("round", csv=True, default=MISSING)
+    dropped: bool | None = _out("dropped", csv=True)
+    t_round: float | None = _out("T_j", csv=True)
+    t_global: float | None = _out("T_G", csv=True)
+    accuracy: float | None = _out("acc", csv=True)
+    minority_accuracy: float | None = _out("acc_minority", csv=True)
+    train_loss: float | None = _out("loss", csv=True)
+    observer_ratio: Array | None = _out("observer_ratio", csv="r_hat")
+    selected_clients: list[int] = _out("selected_clients", default_factory=list)
+    estimated_counts: Array | None = _out("estimated_counts")
+    round_ratio: Array | None = _out("round_ratio")
+    drop_similarity: float | None = _out("drop_similarity")
+
+
+# (attribute, JSON key, CSV flag or prefix, codec) per RoundRecord field.
+_HINTS = get_type_hints(RoundRecord)
+_FIELDS = [
+    (f.name, f.metadata["key"], f.metadata["csv"], _codec(_HINTS[f.name]))
+    for f in fields(RoundRecord)
+]
+_CSV_FIELDS = [entry for entry in _FIELDS if entry[2]]
+
+
+@dataclass
+class ExperimentReport:
+    seed: int
+    num_classes: int
+    config: dict
+    records: list[RoundRecord]
+    summary: dict
+
+
+# The summary's float entries, in the order the CLI prints them.
+SUMMARY_FLOATS = ("final_acc", "final_acc_minority", "mean_T_j", "mean_T_G")
+
+
+def summarize_records(records: list[RoundRecord]) -> dict:
+    def present(name):
+        return [v for v in (getattr(r, name) for r in records) if v is not None]
+
+    def last(name):
+        values = present(name)
+        return float(values[-1]) if values else None
+
+    def mean(name):
+        values = present(name)
+        return float(np.mean(values)) if values else None
+
+    floats = (last("accuracy"), last("minority_accuracy"), mean("t_round"), mean("t_global"))
+    summary = dict(zip(SUMMARY_FLOATS, floats))
+    summary["drop_count"] = int(sum(1 for r in records if r.dropped))
+    return summary
 
 
 def report_csv_lines(report) -> list[str]:
     q = report.num_classes
-    header = ["round", "dropped", "T_j", "T_G", "acc", "acc_minority", "loss"]
-    header += [f"r_hat_{i}" for i in range(q)]
+    header = []
+    for _, key, csv, _ in _CSV_FIELDS:
+        header += [key] if csv is True else [f"{csv}_{i}" for i in range(q)]
     lines = [",".join(header)]
     for rec in report.records:
-        row = [
-            str(rec.index),
-            _fmt(rec.dropped),
-            _fmt(rec.t_round),
-            _fmt(rec.t_global),
-            _fmt(rec.accuracy),
-            _fmt(rec.minority_accuracy),
-            _fmt(rec.train_loss),
-        ]
-        if rec.observer_ratio is None:
-            row += [""] * q
-        else:
-            row += [_fmt(v) for v in rec.observer_ratio]
+        row = []
+        for name, _, _, codec in _CSV_FIELDS:
+            row += codec.to_csv(getattr(rec, name), q)
         lines.append(",".join(row))
     return lines
 
@@ -112,16 +205,6 @@ def write_metrics(report, csv_path: str, json_path: str) -> None:
         raise OSError(f"cannot write JSON to {json_path}: {exc}") from exc
 
 
-def _arr(values) -> list[float] | None:
-    if values is None:
-        return None
-    return [float(v) for v in values]
-
-
-def _opt_float(value) -> float | None:
-    return None if value is None else float(value)
-
-
 def report_to_dict(report) -> dict:
     return {
         "seed": int(report.seed),
@@ -129,49 +212,17 @@ def report_to_dict(report) -> dict:
         "config": report.config,
         "summary": report.summary,
         "records": [
-            {
-                "round": int(rec.index),
-                "selected_clients": [int(c) for c in rec.selected_clients],
-                "estimated_counts": _arr(rec.estimated_counts),
-                "round_ratio": _arr(rec.round_ratio),
-                "observer_ratio": _arr(rec.observer_ratio),
-                "T_j": _opt_float(rec.t_round),
-                "T_G": _opt_float(rec.t_global),
-                "dropped": rec.dropped,
-                "drop_similarity": _opt_float(rec.drop_similarity),
-                "acc": _opt_float(rec.accuracy),
-                "acc_minority": _opt_float(rec.minority_accuracy),
-                "loss": _opt_float(rec.train_loss),
-            }
+            {key: codec.to_json(getattr(rec, name)) for name, key, _, codec in _FIELDS}
             for rec in report.records
         ],
     }
 
 
-def report_from_json(json_path: str):
-    from .federation import ExperimentReport, RoundRecord
-
+def report_from_json(json_path: str) -> ExperimentReport:
     with open(json_path, "r", encoding="utf-8") as f:
         data = json.load(f)
-
-    def arr(v):
-        return None if v is None else np.asarray(v, dtype=float)
-
     records = [
-        RoundRecord(
-            index=r["round"],
-            selected_clients=list(r["selected_clients"]),
-            estimated_counts=arr(r["estimated_counts"]),
-            round_ratio=arr(r["round_ratio"]),
-            observer_ratio=arr(r["observer_ratio"]),
-            t_round=r["T_j"],
-            t_global=r["T_G"],
-            dropped=r["dropped"],
-            drop_similarity=r["drop_similarity"],
-            accuracy=r["acc"],
-            minority_accuracy=r["acc_minority"],
-            train_loss=r["loss"],
-        )
+        RoundRecord(**{name: codec.from_json(r[key]) for name, key, _, codec in _FIELDS})
         for r in data["records"]
     ]
     return ExperimentReport(

@@ -59,6 +59,12 @@ class TestRun:
         assert cli_main(["run", "--config", str(path)]) == 1
         assert "bogus_key" in capsys.readouterr().err
 
+    def test_negative_cluster_scale_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "neg.cfg"
+        path.write_text(TINY.replace("cluster_scale = 0.7", "cluster_scale = -1"))
+        assert cli_main(["run", "--config", str(path)]) == 1
+        assert "cluster_scale" in capsys.readouterr().err
+
     def test_nonexistent_config_exits_1(self, capsys):
         assert cli_main(["run", "--config", "/no/such/file.cfg"]) == 1
         assert "error:" in capsys.readouterr().err

@@ -198,6 +198,12 @@ class TestStrictness:
         with pytest.raises(ConfigError):
             parse_config(path)
 
+    @pytest.mark.parametrize("value", ["2", "-0.1"])
+    def test_drop_threshold_outside_unit_interval(self, tmp_path, value):
+        path = write_cfg(tmp_path, MINIMAL + f"drop_threshold = {value}\n")
+        with pytest.raises(ConfigError, match=r"drop_threshold must be in \[0, 1\]"):
+            parse_config(path)
+
 
 class TestDataSources:
     def test_idx_requires_existing_files(self, tmp_path):

@@ -58,6 +58,11 @@ class TestGenSynthetic:
         with pytest.raises(ValueError):
             gen_synthetic(spec, seed=0)
 
+    def test_negative_cluster_scale_rejected(self):
+        spec = make_synthetic_spec(2, 3, [5, 5], cluster_scale=-1.0, seed=0)
+        with pytest.raises(ValueError, match="cluster_scale"):
+            gen_synthetic(spec, seed=0)
+
     def test_presets_have_generator_params(self):
         for name, params in PRESETS.items():
             assert len(params["class_counts"]) == params["classes"], name

@@ -1,10 +1,18 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from conftest import synthetic_exp_config
 from fedimt.federation import run_experiment, summarize_records
-from fedimt.metrics import evaluate, report_csv_lines, report_from_json, write_metrics
+from fedimt.metrics import (
+    RoundRecord,
+    evaluate,
+    report_csv_lines,
+    report_from_json,
+    write_metrics,
+)
 from fedimt.nn import mlp_init
 
 
@@ -95,25 +103,30 @@ class TestWriteMetrics:
         assert paths[0].read_bytes() == paths[2].read_bytes()
         assert paths[1].read_bytes() == paths[3].read_bytes()
 
-    def test_json_round_trip_lossless(self, report, tmp_path):
-        csv_path, json_path = str(tmp_path / "r.csv"), str(tmp_path / "r.json")
-        write_metrics(report, csv_path, json_path)
-        back = report_from_json(json_path)
-        assert back.seed == report.seed
-        assert back.num_classes == report.num_classes
-        assert back.config == report.config
-        assert back.summary == report.summary
-        assert len(back.records) == len(report.records)
-        for a, b in zip(report.records, back.records):
-            assert a.index == b.index
-            assert a.selected_clients == b.selected_clients
-            assert a.accuracy == b.accuracy
-            assert a.train_loss == b.train_loss
-            assert a.t_round == b.t_round
-            if a.estimated_counts is None:
-                assert b.estimated_counts is None
-            else:
-                np.testing.assert_array_equal(a.estimated_counts, b.estimated_counts)
+    def test_json_round_trip_lossless(self, tmp_path):
+        # A fedimt run with kept and dropped rounds, and a baseline run whose
+        # estimator fields are all None.
+        tracked = run_experiment(synthetic_exp_config(rounds=12, drop_threshold=0.9), seed=1)
+        dropped = [rec.dropped for rec in tracked.records[1:]]
+        assert any(dropped) and not all(dropped)
+        baseline = run_experiment(synthetic_exp_config(algorithm="baseline"), seed=4)
+        assert all(rec.observer_ratio is None for rec in baseline.records)
+        for report in (tracked, baseline):
+            csv_path, json_path = str(tmp_path / "r.csv"), str(tmp_path / "r.json")
+            write_metrics(report, csv_path, json_path)
+            back = report_from_json(json_path)
+            assert back.seed == report.seed
+            assert back.num_classes == report.num_classes
+            assert back.config == report.config
+            assert back.summary == report.summary
+            assert len(back.records) == len(report.records)
+            for a, b in zip(report.records, back.records):
+                for f in fields(RoundRecord):
+                    mine, theirs = getattr(a, f.name), getattr(b, f.name)
+                    if isinstance(mine, np.ndarray):
+                        assert np.array_equal(mine, theirs), f.name
+                    else:
+                        assert mine == theirs and type(mine) is type(theirs), f.name
 
     def test_summary_matches_recomputation_from_csv(self, report, tmp_path):
         csv_path, json_path = str(tmp_path / "r.csv"), str(tmp_path / "r.json")
