@@ -5,10 +5,16 @@ Covers the three shipped synthetic configs at seed 0 and the benchmark's
 three workloads at the given seeds: tenclass_train, manyclass_server and
 ford_focal_prox, the baseline run whose report leaves the estimator columns
 empty and its JSON fields null. Two trees
-whose outputs must be byte-identical print identical lines, so comparing a
-change against its parent is a diff of two outputs:
+whose outputs must be byte-identical print identical lines:
 
-    python3 scripts/output_digest.py --seeds 0-4,1000-1009 > digests.txt
+    python3 scripts/output_digest.py --seeds 0-4,1000-1009
+
+With --base REV the script also checks out REV as a detached git worktree in
+a temporary directory, runs that tree's own copy of this script with the same
+--seeds, prints the lines that differ, removes the worktree, and exits 1 if
+any line differs:
+
+    python3 scripts/output_digest.py --seeds 0-4,1000-1009 --base HEAD~1
 
 The fedimt sources are taken from src/ next to this directory, and the
 workload configs are read from fedbench/workloads.py without changing it.
@@ -18,6 +24,8 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -51,20 +59,58 @@ def digest(config_path: Path, seed: int, work: Path) -> str:
     return hashlib.sha256(csv_path.read_bytes() + json_path.read_bytes()).hexdigest()
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seeds", default="0", help="workload seeds, e.g. 0-4,1000-1009")
-    args = parser.parse_args(argv)
+def digests(seeds: list[int]):
+    """Yield one line per run: name, seed and the digest of its outputs."""
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         for name in SHIPPED:
-            print(f"{name} seed=0 {digest(ROOT / 'configs' / f'{name}.cfg', 0, work)}", flush=True)
+            yield f"{name} seed=0 {digest(ROOT / 'configs' / f'{name}.cfg', 0, work)}"
         for name in WORKLOADS:
-            for seed in parse_seeds(args.seeds):
+            for seed in seeds:
                 cfg = work / f"{name}.cfg"
                 cfg.write_text(config_text(name, seed), encoding="utf-8")
-                print(f"{name} seed={seed} {digest(cfg, seed, work)}", flush=True)
-    return 0
+                yield f"{name} seed={seed} {digest(cfg, seed, work)}"
+
+
+def base_digests(rev: str, seeds: str) -> list[str]:
+    """The lines that REV's own copy of this script prints."""
+    git = ["git", "-C", str(ROOT), "worktree"]
+    with tempfile.TemporaryDirectory() as tmp:
+        tree = Path(tmp) / "base"
+        subprocess.run([*git, "add", "--detach", str(tree), rev], check=True, capture_output=True, text=True)
+        try:
+            script = tree / "scripts" / "output_digest.py"
+            run = subprocess.run(
+                [sys.executable, str(script), "--seeds", seeds],
+                check=True, capture_output=True, text=True,
+            )
+        finally:
+            subprocess.run([*git, "remove", "--force", str(tree)], check=True, capture_output=True, text=True)
+    return run.stdout.splitlines()
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--seeds", default="0", help="workload seeds, e.g. 0-4,1000-1009")
+    parser.add_argument("--base", metavar="REV", help="compare with the outputs of git revision REV")
+    args = parser.parse_args(argv)
+    seeds = parse_seeds(args.seeds)
+    if args.base is None:
+        for line in digests(seeds):
+            print(line, flush=True)
+        return 0
+    try:
+        base = base_digests(args.base, args.seeds)
+    except subprocess.CalledProcessError as exc:
+        print(f"error: {' '.join(exc.cmd)} failed:\n{exc.stderr}", file=sys.stderr)
+        return 2
+    differ = 0
+    for old, new in itertools.zip_longest(base, digests(seeds)):
+        if old != new:
+            differ += 1
+            print(f"- {old}\n+ {new}", flush=True)
+    print(f"{differ} of {len(base)} lines differ from {args.base}")
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":

@@ -63,6 +63,8 @@ _DATA_SOURCE_KEYS: dict[str, tuple] = {
     "run_length": (int, _GENERATOR["run_length"].default),
 }
 _SYNTHETIC_KEYS = ("classes", "feature_dim", "class_counts")
+# The generator keys whose make_synthetic_spec parameter has another name.
+_GENERATOR_ARGS = {"classes": "num_classes", "class_counts": "counts"}
 _IDX_KEYS = ("idx_images", "idx_labels", "idx_test_images", "idx_test_labels")
 # ExperimentConfig fields that no config key fills by name.
 _NOT_KEYS = ("fl", "data_source", "synthetic", "estimator", "skip_eval")
@@ -239,4 +241,14 @@ def parse_config(path: str) -> ExperimentConfig:
         config.validate()
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+    if synthetic is not None:
+        args = {_GENERATOR_ARGS.get(key, key): value for key, value in synthetic.items()}
+        try:  # the generator's own checks, so each rule keeps one home
+            make_synthetic_spec(**args).validate()
+        except ValueError as exc:
+            # A message that starts with a generator parameter gets its key's line.
+            word = str(exc).partition(" ")[0]
+            key = next((k for k, arg in _GENERATOR_ARGS.items() if arg == word), word)
+            lineno = pairs.get(key, (None, None))[1]
+            raise ConfigError(f"{path}:{lineno}: {exc}" if lineno else f"{path}: {exc}") from exc
     return config

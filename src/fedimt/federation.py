@@ -46,7 +46,9 @@ from .estimator import (
     probe_auxiliary,
 )
 from .metrics import ExperimentReport, RoundRecord, evaluate, summarize_records
-from .nn import Array, LossSpec, MlpModel, OptState, backward, compute_loss, forward, mlp_init, sgd_step
+from .nn import (
+    Array, LossSpec, MlpModel, OptState, backward, compute_loss, forward, loss_targets, mlp_init, sgd_step
+)
 from .observer import balanced_weights, cosine_similarity, mismatch_check, observer_init, observer_update
 
 if TYPE_CHECKING:
@@ -164,15 +166,16 @@ def local_update(
     caller reports and skips the client). Called with parallel sequences of
     ids, feature matrices, label vectors and seeds it returns one update per
     non-empty client, in the given order. Either way the clients train in
-    lockstep on one stacked model, (K, fan_in, fan_out) per layer, one
+    lockstep on one stacked model, a (K, P) parameter buffer, one
     forward/loss/backward/step call per step for all of them; the single
     client is the case K = 1.
 
     Each client draws a fresh permutation per epoch from its own seed and
     keeps its final partial batch. A row mask pads the short batches to
     batch_size, and a step mask freezes a client once it has taken its
-    local_epochs * ceil(n / batch_size) steps. fedprox adds
-    prox_mu * (w - w_global) to each weight gradient.
+    local_epochs * ceil(n / batch_size) steps. The loss's label half is
+    built once for the whole round. fedprox adds prox_mu * (w - w_global)
+    to each weight gradient.
     """
     if np.ndim(client_id) == 0:
         updates = local_update(
@@ -193,50 +196,46 @@ def local_update(
     sizes = np.array([len(y) for y in client_labels])
     per_epoch = -(-sizes // batch)
     steps = config.local_epochs * per_epoch
-    # order[k, t] lists client k's rows for step t; -1 marks padding.
-    order = np.full((k_total, steps.max() * batch), -1)
+    n_steps = steps.max()
+    order = np.full((k_total, n_steps * batch), -1)
     for k, client_seed in enumerate(seeds):
         rng = np.random.default_rng(client_seed)
         slots = per_epoch[k] * batch
         for e in range(config.local_epochs):
             order[k, e * slots : e * slots + sizes[k]] = rng.permutation(sizes[k])
-    order = order.reshape(k_total, -1, batch)
-    row_mask = order >= 0
+    # rows[t, k] lists client k's rows for step t; -1 marks padding.
+    rows = np.ascontiguousarray(order.reshape(k_total, n_steps, batch).transpose(1, 0, 2))
+    row_mask = rows >= 0
     # A padded slot repeats its batch's first row, which the row mask drops.
-    order = np.where(row_mask, order, np.maximum(order[:, :, :1], 0))
-    rows = order + (np.cumsum(sizes) - sizes)[:, None, None]
+    rows = np.where(row_mask, rows, np.maximum(rows[..., :1], 0))
+    rows += (np.cumsum(sizes) - sizes)[:, None]
     all_features = np.concatenate(client_features)
-    all_labels = np.concatenate(client_labels)
-
-    model = MlpModel(
-        layer_sizes=list(global_model.layer_sizes),
-        weights=[np.repeat(w[None], k_total, axis=0) for w in global_model.weights],
-        biases=[np.repeat(b[None], k_total, axis=0) for b in global_model.biases],
+    targets = loss_targets(
+        np.concatenate(client_labels)[rows], loss_spec, global_model.num_classes, row_mask
     )
+    active = steps > np.arange(n_steps)[:, None]
+    all_active = active.all(axis=1)
+
+    model = MlpModel(list(global_model.layer_sizes), np.repeat(global_model.params[None], k_total, axis=0))
     opt = OptState.for_model(model, lr=config.lr, momentum=config.momentum)
     prox = config.strategy == "fedprox" and config.prox_mu > 0.0
-    loss_total = np.zeros(k_total)
-    for t in range(steps.max()):
-        step_rows = rows[:, t]
-        acts = forward(model, all_features[step_rows])
-        loss, grad_logits = compute_loss(acts, all_labels[step_rows], loss_spec, row_mask[:, t])
+    n_weights = sum(w.size for w in global_model.weights)  # the buffer's weight prefix
+    for t in range(n_steps):
+        acts = forward(model, all_features.take(rows[t], axis=0))
+        _, grad_logits = compute_loss(acts, targets[t], loss_spec)
         grads = backward(model, acts, grad_logits)
         if prox:
-            for i in range(len(model.weights)):
-                grads.weight_grads[i] += config.prox_mu * (
-                    model.weights[i] - global_model.weights[i]
-                )
-        active = steps > t
-        sgd_step(model, grads, opt, None if active.all() else active)
-        loss_total += loss  # a client with no rows left this step adds 0
+            grads.flat[:, :n_weights] += config.prox_mu * (
+                model.params[:, :n_weights] - global_model.params[:n_weights]
+            )
+        sgd_step(model, grads, opt, None if all_active[t] else active[t])
+    loss_total = np.zeros(k_total)
+    for step_loss in targets.loss():
+        loss_total += step_loss  # a client with no rows left this step adds 0
     return [
         ClientUpdate(
             client_id=cid,
-            model=MlpModel(
-                layer_sizes=list(model.layer_sizes),
-                weights=[w[k] for w in model.weights],
-                biases=[b[k] for b in model.biases],
-            ),
+            model=MlpModel(layer_sizes=list(model.layer_sizes), params=model.params[k]),
             sample_count=int(sizes[k]),
             local_steps=int(steps[k]),
             train_loss=float(loss_total[k] / steps[k]),
@@ -258,30 +257,18 @@ def aggregate(updates: list[ClientUpdate], global_model: MlpModel, strategy: str
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
     updates = sorted(updates, key=lambda u: u.client_id)
-    total = float(sum(u.sample_count for u in updates))
-    p = [u.sample_count / total for u in updates]
-    result = global_model.copy()
-    n_layers = len(global_model.weights)
-
+    counts = np.array([u.sample_count for u in updates])
+    p = counts / float(counts.sum())
+    # One row per client; each reduction adds the rows left to right from 0,
+    # as a Python sum over the clients would.
+    client_params = np.stack([u.model.params for u in updates])
+    sizes = list(global_model.layer_sizes)
     if strategy in ("fedavg", "fedprox"):
-        for i in range(n_layers):
-            result.weights[i] = sum(pk * u.model.weights[i] for pk, u in zip(p, updates))
-            result.biases[i] = sum(pk * u.model.biases[i] for pk, u in zip(p, updates))
-        return result
-
+        return MlpModel(sizes, np.add.reduce(p[:, None] * client_params, axis=0, initial=0.0))
     tau_eff = sum(pk * u.local_steps for pk, u in zip(p, updates))
-    for i in range(n_layers):
-        dw = sum(
-            pk * (u.model.weights[i] - global_model.weights[i]) / u.local_steps
-            for pk, u in zip(p, updates)
-        )
-        db = sum(
-            pk * (u.model.biases[i] - global_model.biases[i]) / u.local_steps
-            for pk, u in zip(p, updates)
-        )
-        result.weights[i] = global_model.weights[i] + tau_eff * dw
-        result.biases[i] = global_model.biases[i] + tau_eff * db
-    return result
+    steps = np.array([u.local_steps for u in updates])[:, None]
+    delta = (p[:, None] * (client_params - global_model.params)) / steps
+    return MlpModel(sizes, global_model.params + tau_eff * np.add.reduce(delta, axis=0, initial=0.0))
 
 
 @dataclass

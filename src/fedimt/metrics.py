@@ -35,11 +35,12 @@ def evaluate(
 ) -> EvalResult:
     """Argmax accuracy, per-class accuracy, minority-restricted accuracy.
 
-    The prediction is the argmax of the logits. The softmax is monotone, so
-    it is not computed; it could only add ties between logits closer than
-    its rounding. minority_classes comes from the simulation-side training
-    oracle (classes with below-average training prevalence); None or empty
-    means minority accuracy is undefined and reported as None.
+    The prediction is the argmax of the logits, taken in blocks of 1,024
+    rows so the hidden activations stay in cache. The softmax is monotone,
+    so it is not computed; it could only add ties between logits closer
+    than its rounding. minority_classes comes from the simulation-side
+    training oracle (classes with below-average training prevalence); None
+    or empty means minority accuracy is undefined and reported as None.
     """
     labels = np.asarray(labels, dtype=int)
     if len(labels) == 0:
@@ -47,7 +48,8 @@ def evaluate(
     q = model.num_classes
     if labels.min() < 0 or labels.max() >= q:
         raise ValueError(f"labels must lie in [0, {q})")
-    pred = forward(model, features).logits.argmax(axis=1)
+    blocks = np.split(features, range(1024, len(features), 1024))
+    pred = np.concatenate([forward(model, x).logits.argmax(axis=1) for x in blocks])
     confusion = np.bincount(labels * q + pred, minlength=q * q).reshape(q, q)
     row_totals = confusion.sum(axis=1)
     with np.errstate(invalid="ignore"):

@@ -7,17 +7,19 @@ The last linear layer's weights and gradients are exposed explicitly because
 the composition-ratio estimator reads them.
 
 Everything operates on float64 numpy arrays and is deterministic given the
-seed and inputs. forward, compute_loss, backward and sgd_step also accept a
-stacked model whose weights carry a leading client axis, (K, fan_in, fan_out),
-with batches shaped (K, B, d): K clients then train in lockstep, one call per
-step for all of them, and the plain 2-D model is the same code without that
-axis.
+seed and inputs. A model keeps all its parameters in one flat buffer, and
+forward, compute_loss, backward and sgd_step also accept a stacked model whose
+buffer carries a leading client axis, (K, P), with batches shaped (K, B, d):
+K clients then train in lockstep, one call per step for all of them, and the
+plain model is the same code without that axis.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+import itertools
+import math
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -26,25 +28,44 @@ Array = np.ndarray
 LOSS_KINDS = ("plain_ce", "class_balanced", "focal")
 
 
+@lru_cache(maxsize=None)
+def _layout(layer_sizes: tuple[int, ...]) -> list[tuple[int, int, tuple[int, ...]]]:
+    """(start, end, shape) of every weight matrix, then every bias."""
+    shapes = [*zip(layer_sizes[:-1], layer_sizes[1:]), *((fan_out,) for fan_out in layer_sizes[1:])]
+    ends = itertools.accumulate(math.prod(shape) for shape in shapes)
+    return [(end - math.prod(shape), end, shape) for shape, end in zip(shapes, ends)]
+
+
+def layer_views(layer_sizes: list[int], flat: Array) -> tuple[list[Array], list[Array]]:
+    """Split a flat (..., P) buffer into weights[i], (..., fan_in, fan_out),
+    and biases[i], (..., fan_out): views of every weight matrix, row-major,
+    then every bias, in layer order."""
+    spans = _layout(tuple(layer_sizes))
+    if flat.shape[-1:] != (spans[-1][1],):
+        raise ValueError(f"flat buffer shape {flat.shape} does not fit layers {layer_sizes}")
+    views = [flat[..., start:end].reshape(*flat.shape[:-1], *shape) for start, end, shape in spans]
+    return views[: len(layer_sizes) - 1], views[len(layer_sizes) - 1 :]
+
+
 @dataclass
 class MlpModel:
-    """Fully connected network; weights[i] has shape (fan_in, fan_out), or
-    (K, fan_in, fan_out) with biases (K, fan_out) for K stacked clients."""
+    """Fully connected network whose parameters live in one flat buffer,
+    params: (P,), or (K, P) for K stacked clients. weights[i], (fan_in,
+    fan_out) or (K, fan_in, fan_out), and biases[i] are views of it (see
+    layer_views), so a write through either is a write to the other."""
 
     layer_sizes: list[int]
-    weights: list[Array]
-    biases: list[Array]
+    params: Array
+
+    def __post_init__(self) -> None:
+        self.weights, self.biases = layer_views(self.layer_sizes, self.params)
 
     @property
     def num_classes(self) -> int:
         return self.layer_sizes[-1]
 
     def copy(self) -> "MlpModel":
-        return MlpModel(
-            layer_sizes=list(self.layer_sizes),
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
-        )
+        return MlpModel(list(self.layer_sizes), self.params.copy())
 
 
 @dataclass
@@ -67,10 +88,14 @@ class Activations:
 
 @dataclass
 class Gradients:
-    """Per-parameter gradients of a scalar loss; shapes mirror the model."""
+    """Gradients of a scalar loss in one flat buffer laid out like the
+    model's params; weight_grads[i] and bias_grads[i] are views of it."""
 
-    weight_grads: list[Array]
-    bias_grads: list[Array]
+    layer_sizes: list[int]
+    flat: Array
+
+    def __post_init__(self) -> None:
+        self.weight_grads, self.bias_grads = layer_views(self.layer_sizes, self.flat)
 
 
 @dataclass
@@ -111,23 +136,18 @@ class LossSpec:
 
 @dataclass
 class OptState:
-    """SGD hyperparameters plus momentum buffers mirroring the model."""
+    """SGD hyperparameters plus the momentum buffer, laid out like the
+    model's params."""
 
     lr: float
     momentum: float = 0.0
-    weight_buffers: list[Array] = field(default_factory=list)
-    bias_buffers: list[Array] = field(default_factory=list)
+    velocity: Array | None = None
 
     @classmethod
     def for_model(cls, model: MlpModel, lr: float, momentum: float = 0.0) -> "OptState":
         if not 0.0 <= momentum < 1.0:
             raise ValueError(f"momentum must be in [0, 1), got {momentum}")
-        return cls(
-            lr=lr,
-            momentum=momentum,
-            weight_buffers=[np.zeros_like(w) for w in model.weights],
-            bias_buffers=[np.zeros_like(b) for b in model.biases],
-        )
+        return cls(lr=lr, momentum=momentum, velocity=np.zeros_like(model.params))
 
 
 def mlp_init(layer_sizes: list[int], seed: int) -> MlpModel:
@@ -141,13 +161,12 @@ def mlp_init(layer_sizes: list[int], seed: int) -> MlpModel:
         raise ValueError("need at least an input and an output layer")
     if any(s < 1 for s in layer_sizes):
         raise ValueError(f"layer sizes must be >= 1, got {layer_sizes}")
+    model = MlpModel(list(layer_sizes), np.zeros(_layout(tuple(layer_sizes))[-1][1]))
     rng = np.random.default_rng(seed)
-    weights, biases = [], []
-    for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
-        limit = np.sqrt(6.0 / (fan_in + fan_out))
-        weights.append(rng.uniform(-limit, limit, size=(fan_in, fan_out)))
-        biases.append(np.zeros(fan_out))
-    return MlpModel(layer_sizes=list(layer_sizes), weights=weights, biases=biases)
+    for w in model.weights:
+        limit = np.sqrt(6.0 / sum(w.shape))
+        w[...] = rng.uniform(-limit, limit, size=w.shape)
+    return model
 
 
 def softmax(logits: Array) -> Array:
@@ -197,33 +216,45 @@ def effective_number_weight(n: Array | float, beta: float) -> Array:
     return (1.0 - beta) / (1.0 - np.power(beta, n))
 
 
-def _class_weights(spec: LossSpec, num_classes: int) -> Array:
-    if spec.class_weights is not None:
-        return np.asarray(spec.class_weights, dtype=float)
-    return effective_number_weight(spec.per_class_n, spec.beta)
+@dataclass
+class LossTargets:
+    """The label half of compute_loss: what depends on the labels, the spec
+    and the row mask but not on the logits. One step covers (B,) or (K, B)
+    rows; a round's (T, K, B) targets are built once and targets[t] is step
+    t. The logit half writes each row's loss term into row_loss, and loss()
+    sums the rows afterwards, so a round sums its losses once."""
+
+    spec: LossSpec
+    onehot: Array  # (..., B, q) bool
+    pt_index: Array  # (..., B) flat index of each row's label in one step's probabilities
+    row_w: Array  # (..., B) 1/rows on a counted row, 0 on a masked one
+    sample_w: Array  # (..., B) the row's class weight; a broadcast 1 unless class_balanced
+    row_loss: Array  # (..., B) each row's loss term, written by the logit half
+
+    def __getitem__(self, t) -> "LossTargets":
+        return LossTargets(
+            self.spec,
+            self.onehot[t],
+            self.pt_index[t],
+            self.row_w[t],
+            self.sample_w[t],
+            self.row_loss[t],
+        )
+
+    def loss(self) -> Array:
+        """Mean loss over each step's counted rows, 0 where none counts."""
+        return np.add.reduce(self.row_loss * self.row_w, axis=-1)
 
 
-def compute_loss(
-    acts: Activations, labels: Array, spec: LossSpec, mask: Array | None = None
-) -> tuple[float | Array, Array]:
-    """Return (loss, grad_logits) where grad_logits = d loss / d logits.
+def loss_targets(
+    labels: Array, spec: LossSpec, num_classes: int, mask: Array | None = None
+) -> LossTargets:
+    """Check the labels, the mask and the spec, and build the label half.
 
-    The loss is the mean over the batch rows, and grad_logits carries the
-    1/rows factor, so backward() applies the plain chain rule. On stacked
-    activations labels is (K, B) and the loss is an array of K per-client
-    means. mask, shaped like labels, marks the rows that count: the others
-    get a zero gradient and stay out of the mean, and a client with no rows
-    left reads a loss of 0. The spec and the labels are checked once per
-    call, and one call covers every client of a lockstep step.
-
-    The log-probabilities are taken from the forward pass's softmax, floored
-    at 1e-300, so a sample's loss term is capped at -log(1e-300) ~ 690.8.
+    labels is (B,), (K, B), or a round's (T, K, B); the last two axes are one
+    step's rows. mask, shaped like labels, marks the rows that count.
     """
-    probs = acts.probabilities
-    q = probs.shape[-1]
-    labels = np.asarray(labels, dtype=int)
-    if labels.shape != probs.shape[:-1]:
-        raise ValueError(f"labels shape {labels.shape} does not match batch {probs.shape[:-1]}")
+    labels, q = np.asarray(labels, dtype=int), num_classes
     if labels.min(initial=0) < 0 or labels.max(initial=0) >= q:
         raise ValueError(f"labels must lie in [0, {q})")
     spec.validate(q)
@@ -232,14 +263,50 @@ def compute_loss(
     elif np.shape(mask) != labels.shape:
         raise ValueError(f"mask shape {np.shape(mask)} does not match labels {labels.shape}")
     row_w = mask / np.maximum(np.sum(mask, axis=-1, keepdims=True), 1.0)
+    pt_index = np.arange(math.prod(labels.shape[-2:])).reshape(labels.shape[-2:]) * q + labels
+    if spec.kind != "class_balanced":
+        sample_w = np.broadcast_to(1.0, labels.shape)
+    elif spec.class_weights is not None:
+        sample_w = np.asarray(spec.class_weights, dtype=float)[labels]
+    else:
+        sample_w = effective_number_weight(spec.per_class_n, spec.beta)[labels]
+    onehot = np.eye(q, dtype=bool).take(labels, axis=0)
+    return LossTargets(spec, onehot, pt_index, row_w, sample_w, np.empty(labels.shape))
 
-    onehot = labels[..., None] == np.arange(q)
-    pt = np.maximum(probs[onehot].reshape(labels.shape), 1e-300)
+
+def compute_loss(
+    acts: Activations, labels: Array | LossTargets, spec: LossSpec, mask: Array | None = None
+) -> tuple[float | Array | None, Array]:
+    """Return (loss, grad_logits) where grad_logits = d loss / d logits.
+
+    The loss is the mean over the batch rows, and grad_logits carries the
+    1/rows factor, so backward() applies the plain chain rule. On stacked
+    activations labels is (K, B) and the loss is an array of K per-client
+    means. mask, shaped like labels, marks the rows that count: the others
+    get a zero gradient and stay out of the mean, and a client with no rows
+    left reads a loss of 0.
+
+    This is loss_targets (the label half), then the logit half. labels may
+    instead be one step of targets built for this spec: the label half is
+    reused, and the returned loss is None; LossTargets.loss() sums it later.
+
+    The log-probabilities are taken from the forward pass's softmax, floored
+    at 1e-300, so a sample's loss term is capped at -log(1e-300) ~ 690.8.
+    """
+    probs = acts.probabilities
+    prebuilt = isinstance(labels, LossTargets)
+    if prebuilt and (labels.spec is not spec or mask is not None):
+        raise ValueError("prebuilt loss targets already carry their spec and mask")
+    targets = labels if prebuilt else loss_targets(labels, spec, probs.shape[-1], mask)
+    if targets.row_w.shape != probs.shape[:-1]:
+        raise ValueError(f"labels shape {targets.row_w.shape} does not match batch {probs.shape[:-1]}")
+
+    pt = np.maximum(probs.take(targets.pt_index), 1e-300)
     log_pt = np.log(pt)
     if spec.kind == "focal":
         one_minus = 1.0 - pt
         focus = np.power(one_minus, spec.gamma)
-        row_loss = -focus * log_pt
+        np.multiply(-focus, log_pt, out=targets.row_loss)
         # d/d pt of -(1-pt)^g log pt, chained through softmax; the log term
         # vanishes as pt -> 1 for g > 0 but needs guarding in float form.
         log_term = np.where(
@@ -247,13 +314,14 @@ def compute_loss(
             spec.gamma * pt * log_pt * np.power(one_minus, spec.gamma - 1.0),
             0.0,
         )
-        grad_scale = (focus - log_term) * row_w
+        grad_w = ((focus - log_term) * targets.row_w)[..., None]
     else:
-        sample_w = _class_weights(spec, q)[labels] if spec.kind == "class_balanced" else 1.0
-        row_loss = -sample_w * log_pt
-        grad_scale = sample_w * row_w
-    loss = np.sum(row_loss * row_w, axis=-1)
-    grad = grad_scale[..., None] * (probs - onehot)
+        np.multiply(-targets.sample_w, log_pt, out=targets.row_loss)
+        grad_w = (targets.sample_w * targets.row_w)[..., None]
+    grad = grad_w * (probs - targets.onehot)
+    if prebuilt:
+        return None, grad
+    loss = targets.loss()
     return (float(loss) if loss.ndim == 0 else loss), grad
 
 
@@ -264,17 +332,16 @@ def backward(model: MlpModel, acts: Activations, grad_logits: Array) -> Gradient
         raise ValueError(
             f"grad_logits shape {grad_logits.shape} does not match logits {acts.logits.shape}"
         )
-    n_layers = len(model.weights)
-    weight_grads: list[Array] = [np.empty(0)] * n_layers
-    bias_grads: list[Array] = [np.empty(0)] * n_layers
+    grads = Gradients(model.layer_sizes, np.empty_like(model.params))
     g = grad_logits
-    for i in range(n_layers - 1, -1, -1):
+    for i in range(len(model.weights) - 1, -1, -1):
         layer_in = acts.layer_outputs[i - 1] if i > 0 else acts.inputs
-        weight_grads[i] = layer_in.swapaxes(-1, -2) @ g
-        bias_grads[i] = g.sum(axis=-2)
+        np.matmul(layer_in.swapaxes(-1, -2), g, out=grads.weight_grads[i])
+        np.add.reduce(g, axis=-2, out=grads.bias_grads[i])
         if i > 0:
-            g = (g @ model.weights[i].swapaxes(-1, -2)) * (acts.layer_outputs[i - 1] > 0.0)
-    return Gradients(weight_grads=weight_grads, bias_grads=bias_grads)
+            g = g @ model.weights[i].swapaxes(-1, -2)
+            g *= acts.layer_outputs[i - 1] > 0.0
+    return grads
 
 
 def sgd_step(
@@ -283,26 +350,17 @@ def sgd_step(
     """In-place SGD update; with momentum mu: buf = mu*buf + g, w -= lr*buf.
 
     On a stacked model, active is a (K,) boolean step mask: a client whose
-    entry is False keeps its weights and momentum buffers exactly as they
+    entry is False keeps its weights and momentum buffer exactly as they
     were, whatever its gradient holds.
     """
-    for params, buffers, param_grads in (
-        (model.weights, opt.weight_buffers, grads.weight_grads),
-        (model.biases, opt.bias_buffers, grads.bias_grads),
-    ):
-        for i, g in enumerate(param_grads):
-            if g.shape != params[i].shape:
-                raise ValueError(f"gradient shape mismatch at layer {i}")
-            keep = None if active is None else active.reshape(-1, *(1,) * (g.ndim - 1))
-            if opt.momentum != 0.0:
-                g = opt.momentum * buffers[i] + g
-                if keep is not None:
-                    g = np.where(keep, g, buffers[i])
-                buffers[i] = g
-            step = opt.lr * g
-            if keep is not None:
-                step = np.where(keep, step, 0.0)
-            params[i] -= step
+    g = grads.flat
+    if g.shape != model.params.shape:
+        raise ValueError(f"gradient shape {g.shape} does not match parameters {model.params.shape}")
+    keep = True if active is None else active[:, None]
+    if opt.momentum != 0.0:
+        np.copyto(opt.velocity, opt.momentum * opt.velocity + g, where=keep)
+        g = opt.velocity
+    np.subtract(model.params, opt.lr * g, out=model.params, where=keep)
     return model
 
 
@@ -330,21 +388,15 @@ def grad_check(
     grads = backward(model, acts, grad_logits)
 
     worst = 0.0
-    for params, analytic in (
-        (model.weights, grads.weight_grads),
-        (model.biases, grads.bias_grads),
-    ):
-        for layer, grad in zip(params, analytic):
-            flat = layer.reshape(-1)
-            gflat = grad.reshape(-1)
-            for idx in range(flat.size):
-                orig = flat[idx]
-                flat[idx] = orig + eps
-                up = loss_at()
-                flat[idx] = orig - eps
-                down = loss_at()
-                flat[idx] = orig
-                numeric = (up - down) / (2.0 * eps)
-                denom = max(1.0, abs(gflat[idx]), abs(numeric))
-                worst = max(worst, abs(gflat[idx] - numeric) / denom)
+    flat, gflat = model.params.reshape(-1), grads.flat.reshape(-1)
+    for idx in range(flat.size):
+        orig = flat[idx]
+        flat[idx] = orig + eps
+        up = loss_at()
+        flat[idx] = orig - eps
+        down = loss_at()
+        flat[idx] = orig
+        numeric = (up - down) / (2.0 * eps)
+        denom = max(1.0, abs(gflat[idx]), abs(numeric))
+        worst = max(worst, abs(gflat[idx] - numeric) / denom)
     return worst

@@ -65,6 +65,23 @@ class TestRun:
         assert cli_main(["run", "--config", str(path)]) == 1
         assert "cluster_scale" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "line,message",
+        [
+            ("cluster_scale = -1", "cluster_scale must be >= 0"),
+            ("run_length = 0", "run_length must be >= 1"),
+            ("class_counts = 40,-1,16", "counts must be >= 0"),
+        ],
+    )
+    def test_generator_key_rejected_with_its_line(self, tmp_path, capsys, line, message):
+        key = line.partition(" ")[0]
+        path = tmp_path / "gen.cfg"
+        lines = [l for l in TINY.splitlines() if not l.startswith(key)] + [line]
+        path.write_text("\n".join(lines) + "\n")
+        assert cli_main(["run", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert f"{path}:{len(lines)}: {message}" in err
+
     def test_nonexistent_config_exits_1(self, capsys):
         assert cli_main(["run", "--config", "/no/such/file.cfg"]) == 1
         assert "error:" in capsys.readouterr().err

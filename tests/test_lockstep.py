@@ -1,19 +1,39 @@
-"""The lockstep local_update against the per-client training loop it replaced.
+"""The lockstep local_update against the two trainers it replaced.
 
-reference_local_update is that loop, kept as the reference: one client at a
-time, 2-D model, one permutation per epoch from the client's own seed, the
-final partial batch kept. The lockstep engine stacks clients, pads batches
-with a row mask and freezes finished clients with a step mask, so it sums in
+reference_local_update is the per-client loop: one client at a time, 2-D
+model, one permutation per epoch from the client's own seed, the final
+partial batch kept. The lockstep engine stacks clients, pads batches with a
+row mask and freezes finished clients with a step mask, so it sums in
 another order; results must agree to 1e-12.
+
+reference_lockstep_update is the first stacked engine: per-layer weight and
+bias arrays with a leading client axis, the loss's label half rebuilt every
+step, a per-layer SGD step and a per-step loss sum. The flat-buffer engine
+does the same arithmetic in the same order, so it must agree bit for bit.
+reference_aggregate is the per-layer Python sum over clients that the
+one-reduction aggregate replaced, also required bit for bit.
 """
 
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fedimt.federation import ClientUpdate, FlConfig, local_update
-from fedimt.nn import LossSpec, OptState, backward, compute_loss, forward, mlp_init, sgd_step
+from fedimt.federation import ClientUpdate, FlConfig, aggregate, local_update
+from fedimt.nn import (
+    Gradients,
+    LossSpec,
+    MlpModel,
+    OptState,
+    backward,
+    compute_loss,
+    effective_number_weight,
+    forward,
+    mlp_init,
+    sgd_step,
+)
 
 TOL = 1e-12
 
@@ -26,6 +46,9 @@ LOSS_SPECS = {
     "plain_ce": LossSpec(),
     "class_balanced": LossSpec(
         kind="class_balanced", beta=0.99, per_class_n=np.array([40.0, 6.0, 1.0])
+    ),
+    "class_weights": LossSpec(
+        kind="class_balanced", beta=0.99, class_weights=np.array([0.5, 2.0, 1.3])
     ),
     "focal": LossSpec(kind="focal", gamma=2.0),
 }
@@ -64,6 +87,122 @@ def reference_local_update(client_id, features, labels, global_model, config, lo
         local_steps=steps,
         train_loss=loss_total / steps,
     )
+
+
+def reference_lockstep_update(client_ids, features, labels, global_model, config, spec, seeds):
+    clients = [(c, x, y, s) for c, x, y, s in zip(client_ids, features, labels, seeds) if len(y)]
+    ids, client_features, client_labels, client_seeds = zip(*clients)
+    k_total, batch = len(clients), config.batch_size
+    sizes = np.array([len(y) for y in client_labels])
+    per_epoch = -(-sizes // batch)
+    steps = config.local_epochs * per_epoch
+    order = np.full((k_total, steps.max() * batch), -1)
+    for k, client_seed in enumerate(client_seeds):
+        rng = np.random.default_rng(client_seed)
+        slots = per_epoch[k] * batch
+        for e in range(config.local_epochs):
+            order[k, e * slots : e * slots + sizes[k]] = rng.permutation(sizes[k])
+    order = order.reshape(k_total, -1, batch)
+    row_mask = order >= 0
+    order = np.where(row_mask, order, np.maximum(order[:, :, :1], 0))
+    rows = order + (np.cumsum(sizes) - sizes)[:, None, None]
+    all_features = np.concatenate(client_features)
+    all_labels = np.concatenate(client_labels)
+
+    weights = [np.repeat(w[None], k_total, axis=0) for w in global_model.weights]
+    biases = [np.repeat(b[None], k_total, axis=0) for b in global_model.biases]
+    buffers = [np.zeros_like(a) for a in weights + biases]
+    q = global_model.num_classes
+    loss_total = np.zeros(k_total)
+    for t in range(steps.max()):
+        outputs, h = [], all_features[rows[:, t]]
+        for i, (w, b) in enumerate(zip(weights, biases)):
+            h = h @ w
+            h += b[..., None, :]
+            if i < len(weights) - 1:
+                np.maximum(h, 0.0, out=h)
+            outputs.append(h)
+        probs = outputs[-1] - outputs[-1].max(axis=-1, keepdims=True)
+        np.exp(probs, out=probs)
+        probs /= probs.sum(axis=-1, keepdims=True)
+
+        y, mask = all_labels[rows[:, t]], row_mask[:, t]
+        row_w = mask / np.maximum(np.sum(mask, axis=-1, keepdims=True), 1.0)
+        onehot = y[..., None] == np.arange(q)
+        pt = np.maximum(probs[onehot].reshape(y.shape), 1e-300)
+        log_pt = np.log(pt)
+        if spec.kind == "focal":
+            one_minus = 1.0 - pt
+            focus = np.power(one_minus, spec.gamma)
+            row_loss = -focus * log_pt
+            log_term = np.where(
+                one_minus > 1e-12,
+                spec.gamma * pt * log_pt * np.power(one_minus, spec.gamma - 1.0),
+                0.0,
+            )
+            grad_scale = (focus - log_term) * row_w
+        else:
+            sample_w = 1.0
+            if spec.kind == "class_balanced" and spec.class_weights is not None:
+                sample_w = np.asarray(spec.class_weights, dtype=float)[y]
+            elif spec.kind == "class_balanced":
+                sample_w = effective_number_weight(spec.per_class_n, spec.beta)[y]
+            row_loss = -sample_w * log_pt
+            grad_scale = sample_w * row_w
+        loss_total += np.sum(row_loss * row_w, axis=-1)
+        g = grad_scale[..., None] * (probs - onehot)
+
+        grads = [None] * (2 * len(weights))
+        for i in range(len(weights) - 1, -1, -1):
+            layer_in = outputs[i - 1] if i > 0 else all_features[rows[:, t]]
+            grads[i] = layer_in.swapaxes(-1, -2) @ g
+            grads[len(weights) + i] = g.sum(axis=-2)
+            if i > 0:
+                g = (g @ weights[i].swapaxes(-1, -2)) * (outputs[i - 1] > 0.0)
+        if config.strategy == "fedprox" and config.prox_mu > 0.0:
+            for i, w in enumerate(weights):
+                grads[i] += config.prox_mu * (w - global_model.weights[i])
+        active = steps > t
+        for i, (param, grad) in enumerate(zip(weights + biases, grads)):
+            keep = active.reshape(-1, *(1,) * (grad.ndim - 1))
+            if config.momentum != 0.0:
+                grad = np.where(keep, config.momentum * buffers[i] + grad, buffers[i])
+                buffers[i] = grad
+            param -= np.where(keep, config.lr * grad, 0.0)
+    return [
+        (cid, [w[k] for w in weights], [b[k] for b in biases], loss_total[k] / steps[k])
+        for k, cid in enumerate(ids)
+    ]
+
+
+def reference_aggregate(updates, global_model, strategy):
+    updates = sorted(updates, key=lambda u: u.client_id)
+    total = float(sum(u.sample_count for u in updates))
+    p = [u.sample_count / total for u in updates]
+    if strategy in ("fedavg", "fedprox"):
+        weights = [
+            sum(pk * u.model.weights[i] for pk, u in zip(p, updates))
+            for i in range(len(global_model.weights))
+        ]
+        biases = [
+            sum(pk * u.model.biases[i] for pk, u in zip(p, updates))
+            for i in range(len(global_model.biases))
+        ]
+        return weights, biases
+    tau_eff = sum(pk * u.local_steps for pk, u in zip(p, updates))
+    weights = [
+        w + tau_eff * sum(
+            pk * (u.model.weights[i] - w) / u.local_steps for pk, u in zip(p, updates)
+        )
+        for i, w in enumerate(global_model.weights)
+    ]
+    biases = [
+        b + tau_eff * sum(
+            pk * (u.model.biases[i] - b) / u.local_steps for pk, u in zip(p, updates)
+        )
+        for i, b in enumerate(global_model.biases)
+    ]
+    return weights, biases
 
 
 def client_data(seed=0):
@@ -138,3 +277,100 @@ def test_parallel_sequences_must_match():
     cfg = config_for("fedavg", 0.0)
     with pytest.raises(ValueError):
         local_update([0, 1], features[:1], labels[:2], model, cfg, LossSpec(), [0, 1])
+
+
+@pytest.mark.parametrize(
+    "strategy,loss,momentum",
+    list(itertools.product(STRATEGIES, LOSS_SPECS, (0.0, 0.9))),
+)
+def test_flat_engine_matches_layered_engine_bit_for_bit(strategy, loss, momentum):
+    model = mlp_init([4, 8, 3], seed=1)
+    features, labels = client_data()
+    cfg = config_for(strategy, momentum)
+    seeds = [(5, 18, 0, cid) for cid in CLIENT_IDS]
+    spec = LOSS_SPECS[loss]
+
+    updates = local_update(list(CLIENT_IDS), features, labels, model, cfg, spec, seeds)
+    expected = reference_lockstep_update(CLIENT_IDS, features, labels, model, cfg, spec, seeds)
+    assert len(updates) == len(expected) == len(CLIENT_SIZES) - 1
+    # K = 1 as well: client 9 alone takes 12 steps, where a (T, 1) sum over
+    # steps could switch to pairwise order.
+    k = CLIENT_IDS.index(9)
+    single = local_update(9, features[k], labels[k], model, cfg, spec, seeds[k])
+    assert single.local_steps == 12
+    updates.append(single)
+    expected += reference_lockstep_update([9], [features[k]], [labels[k]], model, cfg, spec, [seeds[k]])
+    for update, (cid, weights, biases, train_loss) in zip(updates, expected, strict=True):
+        assert update.client_id == cid
+        assert update.train_loss == train_loss
+        for got, want in zip(update.model.weights + update.model.biases, weights + biases):
+            assert np.array_equal(got, want)
+
+
+@given(
+    st.sampled_from(sorted(STRATEGIES)),
+    st.lists(st.tuples(st.integers(1, 500), st.integers(1, 40)), min_size=1, max_size=6),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_aggregate_matches_per_layer_sum_bit_for_bit(strategy, clients, seed):
+    rng = np.random.default_rng(seed)
+    sizes = [5, 7, 3]
+    global_model = MlpModel(sizes, rng.normal(0.0, 1.0, 5 * 7 + 7 * 3 + 7 + 3))
+    updates = [
+        ClientUpdate(
+            client_id=int(cid),
+            model=MlpModel(sizes, global_model.params + rng.normal(0.0, 0.1, global_model.params.shape)),
+            sample_count=count,
+            local_steps=local_steps,
+            train_loss=0.0,
+        )
+        for cid, (count, local_steps) in zip(rng.permutation(len(clients)), clients)
+    ]
+    result = aggregate(updates, global_model, strategy)
+    weights, biases = reference_aggregate(updates, global_model, strategy)
+    for got, want in zip(result.weights + result.biases, weights + biases):
+        assert np.array_equal(got, want)
+
+
+def test_weights_and_biases_are_views_of_the_flat_buffer():
+    single = mlp_init([4, 8, 3], seed=1)
+    stacked = MlpModel(single.layer_sizes, np.stack([single.params] * 3))
+    grads = Gradients(single.layer_sizes, np.zeros_like(stacked.params))
+    for flat, views in (
+        (single.params, single.weights + single.biases),
+        (stacked.params, stacked.weights + stacked.biases),
+        (grads.flat, grads.weight_grads + grads.bias_grads),
+    ):
+        assert sum(v.size for v in views) == flat.size
+        for view in views:
+            assert np.shares_memory(view, flat)
+            view[...] = 7.0
+        assert np.all(flat == 7.0)
+    with pytest.raises(ValueError):
+        MlpModel([4, 8, 3], np.zeros(single.params.size + 1))
+
+
+def test_copy_is_independent():
+    model = mlp_init([4, 8, 3], seed=1)
+    before = model.params.copy()
+    clone = model.copy()
+    clone.weights[0][...] = 1.0
+    clone.biases[1][...] = 2.0
+    assert np.array_equal(model.params, before)
+    assert not np.shares_memory(clone.params, model.params)
+    assert np.shares_memory(clone.weights[0], clone.params)
+
+
+@pytest.mark.parametrize("strategy", sorted(STRATEGIES))
+def test_aggregate_never_writes_into_its_inputs(strategy):
+    model = mlp_init([4, 8, 3], seed=1)
+    features, labels = client_data()
+    cfg = config_for(strategy, 0.0)
+    seeds = [(5, 18, 0, cid) for cid in CLIENT_IDS]
+    updates = local_update(list(CLIENT_IDS), features, labels, model, cfg, LossSpec(), seeds)
+    before = [u.model.params.copy() for u in updates] + [model.params.copy()]
+    result = aggregate(updates, model, strategy)
+    for params, want in zip([u.model.params for u in updates] + [model.params], before):
+        assert np.array_equal(params, want)
+        assert not np.shares_memory(result.params, params)

@@ -13,6 +13,7 @@ from fedimt.nn import (
     effective_number_weight,
     forward,
     grad_check,
+    loss_targets,
     mlp_init,
     sgd_step,
 )
@@ -233,10 +234,8 @@ class TestSgdStep:
     def test_plain_arithmetic(self):
         model = mlp_init([1, 1], seed=0)
         model.weights[0][:] = 1.0
-        grads_w = [np.full((1, 1), 2.0)]
-        grads_b = [np.zeros(1)]
         opt = OptState.for_model(model, lr=0.001, momentum=0.0)
-        sgd_step(model, Gradients(grads_w, grads_b), opt)
+        sgd_step(model, Gradients([1, 1], np.array([2.0, 0.0])), opt)
         assert model.weights[0][0, 0] == pytest.approx(0.998, abs=1e-15)
 
     def test_momentum_matches_hand_unroll(self):
@@ -246,8 +245,8 @@ class TestSgdStep:
         lr, mu = 0.1, 0.9
         g1, g2 = 0.5, -0.25
         opt = OptState.for_model(model, lr=lr, momentum=mu)
-        sgd_step(model, Gradients([np.full((1, 1), g1)], [np.zeros(1)]), opt)
-        sgd_step(model, Gradients([np.full((1, 1), g2)], [np.zeros(1)]), opt)
+        sgd_step(model, Gradients([1, 1], np.array([g1, 0.0])), opt)
+        sgd_step(model, Gradients([1, 1], np.array([g2, 0.0])), opt)
         buf1 = g1
         w1 = 1.0 - lr * buf1
         buf2 = mu * buf1 + g2
@@ -298,11 +297,7 @@ class TestGradCheck:
 
 
 def stack(models):
-    return MlpModel(
-        layer_sizes=list(models[0].layer_sizes),
-        weights=[np.stack(ws) for ws in zip(*(m.weights for m in models))],
-        biases=[np.stack(bs) for bs in zip(*(m.biases for m in models))],
-    )
+    return MlpModel(list(models[0].layer_sizes), np.stack([m.params for m in models]))
 
 
 class TestClientAxis:
@@ -340,6 +335,24 @@ class TestClientAxis:
         for got in grads.weight_grads + grads.bias_grads:
             assert not np.any(got[2])
 
+    @pytest.mark.parametrize("spec", SPECS, ids=["plain_ce", "class_balanced", "focal"])
+    def test_prebuilt_targets_give_the_same_bits(self, spec):
+        stacked = stack([mlp_init([4, 8, 3], seed=s) for s in range(3)])
+        rng = np.random.default_rng(1)
+        y = rng.integers(0, 3, (3, 6))
+        mask = np.arange(6) < np.array([6, 2, 0])[:, None]
+        acts = forward(stacked, rng.normal(0.0, 1.0, (3, 6, 4)))
+        losses, grad = compute_loss(acts, y, spec, mask)
+        targets = loss_targets(np.stack([y, y]), spec, 3, np.stack([mask, mask]))
+        for step in range(2):
+            loss, step_grad = compute_loss(acts, targets[step], spec)
+            assert loss is None and np.array_equal(step_grad, grad)
+            assert np.array_equal(targets.loss()[step], losses)
+        with pytest.raises(ValueError):
+            compute_loss(acts, targets[0], LossSpec(kind="focal"))
+        with pytest.raises(ValueError):
+            compute_loss(acts, targets[0], spec, mask)
+
     def test_batch_must_carry_the_client_axis(self):
         stacked = stack([mlp_init([4, 8, 3], seed=s) for s in range(2)])
         with pytest.raises(ValueError):
@@ -358,19 +371,13 @@ class TestClientAxis:
         stacked = stack([mlp_init([4, 8, 3], seed=s) for s in range(2)])
         opt = OptState.for_model(stacked, lr=0.1, momentum=momentum)
         rng = np.random.default_rng(3)
-        for buf in opt.weight_buffers + opt.bias_buffers:
-            buf[:] = rng.normal(0.0, 1.0, buf.shape)
-        grads = Gradients(
-            weight_grads=[rng.normal(0.0, 1.0, w.shape) for w in stacked.weights],
-            bias_grads=[rng.normal(0.0, 1.0, b.shape) for b in stacked.biases],
-        )
-        for g in grads.weight_grads + grads.bias_grads:
-            g[1] = np.nan  # whatever the frozen client's gradient holds
+        opt.velocity[:] = rng.normal(0.0, 1.0, opt.velocity.shape)
+        grads = Gradients(stacked.layer_sizes, rng.normal(0.0, 1.0, stacked.params.shape))
+        grads.flat[1] = np.nan  # whatever the frozen client's gradient holds
         before = stacked.copy()
-        buffers = [b.copy() for b in opt.weight_buffers + opt.bias_buffers]
+        velocity = opt.velocity.copy()
         sgd_step(stacked, grads, opt, np.array([True, False]))
         for a, b in zip(stacked.weights + stacked.biases, before.weights + before.biases):
             np.testing.assert_array_equal(a[1], b[1])
             assert not np.array_equal(a[0], b[0])
-        for a, b in zip(opt.weight_buffers + opt.bias_buffers, buffers):
-            np.testing.assert_array_equal(a[1], b[1])
+        np.testing.assert_array_equal(opt.velocity[1], velocity[1])
