@@ -8,7 +8,9 @@ sliding latest-sample windows, and server-side auxiliary probe sets.
 from __future__ import annotations
 
 import struct
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -124,7 +126,10 @@ def make_synthetic_spec(
 
 
 def _bursty_order(labels: Array, run_length: int, rng: np.random.Generator) -> Array:
-    """Arrival order where same-class samples come in geometric-length runs."""
+    """Arrival order where same-class samples come in geometric-length runs.
+    Each run's class is the draw rng.choice makes with p = the remaining
+    counts' share: one rng.random(), bisected right into the cumulative share
+    divided by its last entry."""
     n = len(labels)
     if run_length == 1:
         return rng.permutation(n)
@@ -132,12 +137,14 @@ def _bursty_order(labels: Array, run_length: int, rng: np.random.Generator) -> A
     for pool in pools:
         rng.shuffle(pool)
     taken = [0] * len(pools)
-    remaining = np.array([len(p) for p in pools], dtype=float)
+    remaining = [len(p) for p in pools]
     order = np.empty(n, dtype=int)
     pos = 0
     while pos < n:
-        q = int(rng.choice(len(pools), p=remaining / remaining.sum()))
-        run = min(int(rng.geometric(1.0 / run_length)), int(remaining[q]))
+        total = n - pos  # == sum(remaining), exactly
+        cdf = list(accumulate(r / total for r in remaining))
+        q = bisect_right(cdf, rng.random(), key=lambda c: c / cdf[-1])
+        run = min(int(rng.geometric(1.0 / run_length)), remaining[q])
         order[pos : pos + run] = pools[q][taken[q] : taken[q] + run]
         taken[q] += run
         remaining[q] -= run
@@ -149,13 +156,9 @@ def gen_synthetic(spec: SyntheticSpec, seed: int) -> Dataset:
     """Draw spec.counts[q] points from N(mean_q, cluster_scale^2 I) per class."""
     spec.validate()
     rng = np.random.default_rng(seed)
-    feats, labs = [], []
-    for q in range(spec.num_classes):
-        c = int(spec.counts[q])
-        feats.append(spec.means[q] + rng.normal(0.0, spec.cluster_scale, (c, spec.feature_dim)))
-        labs.append(np.full(c, q, dtype=int))
-    features = np.concatenate(feats)
-    labels = np.concatenate(labs)
+    labels = np.repeat(np.arange(spec.num_classes), spec.counts)
+    features = rng.normal(0.0, spec.cluster_scale, (len(labels), spec.feature_dim))
+    features += spec.means[labels]
     order = _bursty_order(labels, spec.run_length, rng)
     return Dataset(
         features=features,

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedimt.data import (
     PRESETS,
     Dataset,
+    _bursty_order,
     gen_synthetic,
     load_idx,
     make_synthetic_spec,
@@ -13,6 +16,13 @@ from fedimt.data import (
     write_idx,
 )
 from conftest import make_client, make_dataset
+from reference import reference_bursty_order, reference_gen_synthetic
+
+# The generator parameters of fedbench's manyclass_server workload.
+MANYCLASS = dict(
+    classes=40, feature_dim=64, class_counts=[300] * 40,
+    cluster_scale=0.6, class_separation=3.0, run_length=8,
+)
 
 
 class TestGenSynthetic:
@@ -66,6 +76,50 @@ class TestGenSynthetic:
     def test_presets_have_generator_params(self):
         for name, params in PRESETS.items():
             assert len(params["class_counts"]) == params["classes"], name
+
+
+@st.composite
+def class_counts(draw):
+    """1-64 classes of 0-300 samples; one class is non-empty and, when there
+    are two or more, another is empty."""
+    q = draw(st.integers(1, 64))
+    counts = draw(st.lists(st.integers(0, 300), min_size=q, max_size=q))
+    full = draw(st.integers(0, q - 1))
+    counts[full] = draw(st.integers(1, 300))
+    if q > 1:
+        counts[(full + draw(st.integers(1, q - 1))) % q] = 0
+    return counts
+
+
+class TestGeneratorMatchesReference:
+    """The generator against the rng.choice loop and per-class normal draws
+    it replaced: the same bytes, and the stream left where they left it."""
+
+    # Run lengths 2 and 3 take Generator.geometric's search branch (p >= 1/3),
+    # the longer ones its inversion branch.
+    @given(class_counts(), st.sampled_from([2, 3, 4, 8, 16, 50]), st.integers(0, 2**32 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_bursty_order_matches_choice_loop(self, counts, run_length, seed):
+        labels = np.random.default_rng(seed).permutation(np.repeat(np.arange(len(counts)), counts))
+        fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = _bursty_order(labels, run_length, fast)
+        want = reference_bursty_order(labels, run_length, slow)
+        assert np.array_equal(got, want)
+        assert got.dtype == want.dtype
+        assert fast.random() == slow.random()
+
+    @pytest.mark.parametrize("params", [*PRESETS.values(), MANYCLASS], ids=[*PRESETS, "manyclass"])
+    @pytest.mark.parametrize("seed", [0, 1007])
+    def test_gen_synthetic_matches_per_class_draws(self, params, seed):
+        spec = make_synthetic_spec(
+            params["classes"], params["feature_dim"], params["class_counts"],
+            params["cluster_scale"], params["class_separation"], params["run_length"],
+            seed=seed,
+        )
+        got, want = gen_synthetic(spec, seed + 1), reference_gen_synthetic(spec, seed + 1)
+        for name in ("features", "labels", "time_order"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert np.array_equal(a, b) and a.dtype == b.dtype, name
 
 
 class TestIdx:

@@ -1,6 +1,6 @@
 """The lockstep local_update against the two trainers it replaced.
 
-reference_local_update is the per-client loop: one client at a time, 2-D
+The references live in reference.py. reference_local_update is the per-client loop: one client at a time, 2-D
 model, one permutation per epoch from the client's own seed, the final
 partial batch kept. The lockstep engine stacks clients, pads batches with a
 row mask and freezes finished clients with a step mask, so it sums in
@@ -22,18 +22,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedimt.federation import ClientUpdate, FlConfig, aggregate, local_update
-from fedimt.nn import (
-    Gradients,
-    LossSpec,
-    MlpModel,
-    OptState,
-    backward,
-    compute_loss,
-    effective_number_weight,
-    forward,
-    mlp_init,
-    sgd_step,
-)
+from fedimt.nn import Gradients, LossSpec, MlpModel, mlp_init
+from reference import reference_aggregate, reference_local_update, reference_lockstep_update
 
 TOL = 1e-12
 
@@ -53,156 +43,6 @@ LOSS_SPECS = {
     "focal": LossSpec(kind="focal", gamma=2.0),
 }
 STRATEGIES = {"fedavg": 0.0, "fedprox": 0.5, "fednova": 0.0}
-
-
-def reference_local_update(client_id, features, labels, global_model, config, loss_spec, seed):
-    n = len(labels)
-    if n == 0:
-        return None
-    model = global_model.copy()
-    opt = OptState.for_model(model, lr=config.lr, momentum=config.momentum)
-    rng = np.random.default_rng(seed)
-    prox = config.strategy == "fedprox" and config.prox_mu > 0.0
-    steps = 0
-    loss_total = 0.0
-    for _ in range(config.local_epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, config.batch_size):
-            batch = order[start : start + config.batch_size]
-            acts = forward(model, features[batch])
-            loss, grad_logits = compute_loss(acts, labels[batch], loss_spec)
-            grads = backward(model, acts, grad_logits)
-            if prox:
-                for i in range(len(model.weights)):
-                    grads.weight_grads[i] += config.prox_mu * (
-                        model.weights[i] - global_model.weights[i]
-                    )
-            sgd_step(model, grads, opt)
-            steps += 1
-            loss_total += loss
-    return ClientUpdate(
-        client_id=client_id,
-        model=model,
-        sample_count=n,
-        local_steps=steps,
-        train_loss=loss_total / steps,
-    )
-
-
-def reference_lockstep_update(client_ids, features, labels, global_model, config, spec, seeds):
-    clients = [(c, x, y, s) for c, x, y, s in zip(client_ids, features, labels, seeds) if len(y)]
-    ids, client_features, client_labels, client_seeds = zip(*clients)
-    k_total, batch = len(clients), config.batch_size
-    sizes = np.array([len(y) for y in client_labels])
-    per_epoch = -(-sizes // batch)
-    steps = config.local_epochs * per_epoch
-    order = np.full((k_total, steps.max() * batch), -1)
-    for k, client_seed in enumerate(client_seeds):
-        rng = np.random.default_rng(client_seed)
-        slots = per_epoch[k] * batch
-        for e in range(config.local_epochs):
-            order[k, e * slots : e * slots + sizes[k]] = rng.permutation(sizes[k])
-    order = order.reshape(k_total, -1, batch)
-    row_mask = order >= 0
-    order = np.where(row_mask, order, np.maximum(order[:, :, :1], 0))
-    rows = order + (np.cumsum(sizes) - sizes)[:, None, None]
-    all_features = np.concatenate(client_features)
-    all_labels = np.concatenate(client_labels)
-
-    weights = [np.repeat(w[None], k_total, axis=0) for w in global_model.weights]
-    biases = [np.repeat(b[None], k_total, axis=0) for b in global_model.biases]
-    buffers = [np.zeros_like(a) for a in weights + biases]
-    q = global_model.num_classes
-    loss_total = np.zeros(k_total)
-    for t in range(steps.max()):
-        outputs, h = [], all_features[rows[:, t]]
-        for i, (w, b) in enumerate(zip(weights, biases)):
-            h = h @ w
-            h += b[..., None, :]
-            if i < len(weights) - 1:
-                np.maximum(h, 0.0, out=h)
-            outputs.append(h)
-        probs = outputs[-1] - outputs[-1].max(axis=-1, keepdims=True)
-        np.exp(probs, out=probs)
-        probs /= probs.sum(axis=-1, keepdims=True)
-
-        y, mask = all_labels[rows[:, t]], row_mask[:, t]
-        row_w = mask / np.maximum(np.sum(mask, axis=-1, keepdims=True), 1.0)
-        onehot = y[..., None] == np.arange(q)
-        pt = np.maximum(probs[onehot].reshape(y.shape), 1e-300)
-        log_pt = np.log(pt)
-        if spec.kind == "focal":
-            one_minus = 1.0 - pt
-            focus = np.power(one_minus, spec.gamma)
-            row_loss = -focus * log_pt
-            log_term = np.where(
-                one_minus > 1e-12,
-                spec.gamma * pt * log_pt * np.power(one_minus, spec.gamma - 1.0),
-                0.0,
-            )
-            grad_scale = (focus - log_term) * row_w
-        else:
-            sample_w = 1.0
-            if spec.kind == "class_balanced" and spec.class_weights is not None:
-                sample_w = np.asarray(spec.class_weights, dtype=float)[y]
-            elif spec.kind == "class_balanced":
-                sample_w = effective_number_weight(spec.per_class_n, spec.beta)[y]
-            row_loss = -sample_w * log_pt
-            grad_scale = sample_w * row_w
-        loss_total += np.sum(row_loss * row_w, axis=-1)
-        g = grad_scale[..., None] * (probs - onehot)
-
-        grads = [None] * (2 * len(weights))
-        for i in range(len(weights) - 1, -1, -1):
-            layer_in = outputs[i - 1] if i > 0 else all_features[rows[:, t]]
-            grads[i] = layer_in.swapaxes(-1, -2) @ g
-            grads[len(weights) + i] = g.sum(axis=-2)
-            if i > 0:
-                g = (g @ weights[i].swapaxes(-1, -2)) * (outputs[i - 1] > 0.0)
-        if config.strategy == "fedprox" and config.prox_mu > 0.0:
-            for i, w in enumerate(weights):
-                grads[i] += config.prox_mu * (w - global_model.weights[i])
-        active = steps > t
-        for i, (param, grad) in enumerate(zip(weights + biases, grads)):
-            keep = active.reshape(-1, *(1,) * (grad.ndim - 1))
-            if config.momentum != 0.0:
-                grad = np.where(keep, config.momentum * buffers[i] + grad, buffers[i])
-                buffers[i] = grad
-            param -= np.where(keep, config.lr * grad, 0.0)
-    return [
-        (cid, [w[k] for w in weights], [b[k] for b in biases], loss_total[k] / steps[k])
-        for k, cid in enumerate(ids)
-    ]
-
-
-def reference_aggregate(updates, global_model, strategy):
-    updates = sorted(updates, key=lambda u: u.client_id)
-    total = float(sum(u.sample_count for u in updates))
-    p = [u.sample_count / total for u in updates]
-    if strategy in ("fedavg", "fedprox"):
-        weights = [
-            sum(pk * u.model.weights[i] for pk, u in zip(p, updates))
-            for i in range(len(global_model.weights))
-        ]
-        biases = [
-            sum(pk * u.model.biases[i] for pk, u in zip(p, updates))
-            for i in range(len(global_model.biases))
-        ]
-        return weights, biases
-    tau_eff = sum(pk * u.local_steps for pk, u in zip(p, updates))
-    weights = [
-        w + tau_eff * sum(
-            pk * (u.model.weights[i] - w) / u.local_steps for pk, u in zip(p, updates)
-        )
-        for i, w in enumerate(global_model.weights)
-    ]
-    biases = [
-        b + tau_eff * sum(
-            pk * (u.model.biases[i] - b) / u.local_steps for pk, u in zip(p, updates)
-        )
-        for i, b in enumerate(global_model.biases)
-    ]
-    return weights, biases
 
 
 def client_data(seed=0):

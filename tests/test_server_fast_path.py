@@ -1,6 +1,6 @@
 """The server side of a round against the simple code it replaced.
 
-Each reference below is the earlier implementation, kept as it was:
+Each reference in reference.py is the earlier implementation, kept as it was:
 estimate_counts as one loop over classes, evaluation as the softmax's argmax
 counted with np.add.at, and the T_G ground truth as one window_latest call per
 client summed by oracle_counts. The fast paths do the same arithmetic in
@@ -14,94 +14,12 @@ import numpy as np
 import pytest
 
 import fedimt.federation as federation
-from fedimt.data import ClientDataset, LabelStreams, window_latest
-from fedimt.estimator import AuxGradients, CountEstimate, EstimatorParams, estimate_counts, oracle_counts
-from fedimt.metrics import EvalResult, evaluate
-from fedimt.nn import MlpModel, forward, mlp_init
+from fedimt.data import ClientDataset, LabelStreams
+from fedimt.estimator import AuxGradients, estimate_counts, oracle_counts
+from fedimt.metrics import evaluate
+from fedimt.nn import MlpModel, mlp_init
 from conftest import make_dataset, synthetic_exp_config
-
-
-def reference_estimate_counts(aux_grads, w_prev, w_new, total_samples, num_selected, params=None):
-    params = params or EstimatorParams()
-    q_total = len(aux_grads.per_class)
-    s = w_prev.shape[0]
-    delta = w_new - w_prev
-
-    sum_aux = np.zeros_like(aux_grads.per_class[0])
-    for g in aux_grads.per_class:
-        sum_aux += g
-
-    counts = np.zeros(q_total)
-    node_estimates = np.full((q_total, s), np.nan)
-    node_confidences = np.zeros((q_total, s))
-    used = np.zeros(q_total, dtype=int)
-    fallback = np.zeros(q_total, dtype=bool)
-
-    for p in range(q_total):
-        own = aux_grads.per_class[p][:, p]
-        if q_total > 1:
-            other = (sum_aux[:, p] - own) / (q_total - 1)
-        else:
-            other = np.zeros(s)
-        live = np.abs(other) > params.denom_epsilon
-        conf = np.divide(-own, other, out=np.zeros(s), where=live)
-        conf[~live & (np.abs(own) > params.denom_epsilon)] = np.inf
-        node_confidences[p] = conf
-
-        denom = own - other
-        ok = (np.abs(denom) > params.denom_epsilon) & (conf > params.confidence_floor)
-        rhs = aux_grads.n_aux[p] * num_selected * delta[:, p]
-        estimates = np.where(ok, (rhs - other * total_samples) / np.where(ok, denom, 1.0), np.nan)
-        node_estimates[p] = estimates
-
-        used[p] = int(ok.sum())
-        if used[p] == 0:
-            counts[p] = total_samples / q_total
-            fallback[p] = True
-        else:
-            conf_ok = conf[ok]
-            if np.any(np.isinf(conf_ok)):
-                exact = np.isinf(conf_ok)
-                weights = exact / exact.sum()
-            else:
-                weights = conf_ok / conf_ok.sum()
-            counts[p] = float(np.dot(weights, estimates[ok]))
-
-    return CountEstimate(
-        counts=np.clip(counts, 0.0, total_samples),
-        node_estimates=node_estimates,
-        node_confidences=node_confidences,
-        used_node_count=used,
-        fallback=fallback,
-    )
-
-
-def reference_evaluate(model, features, labels, minority_classes=None):
-    labels = np.asarray(labels, dtype=int)
-    q = model.num_classes
-    pred = forward(model, features).probabilities.argmax(axis=1)
-    confusion = np.zeros((q, q), dtype=int)
-    np.add.at(confusion, (labels, pred), 1)
-    row_totals = confusion.sum(axis=1)
-    with np.errstate(invalid="ignore"):
-        per_class = np.where(row_totals > 0, np.diag(confusion) / row_totals, np.nan)
-    minority_accuracy = None
-    if minority_classes is not None and len(minority_classes) > 0:
-        mask = np.isin(labels, minority_classes)
-        if mask.any():
-            minority_accuracy = float((pred[mask] == labels[mask]).mean())
-    return EvalResult(
-        accuracy=float(np.trace(confusion) / len(labels)),
-        per_class_accuracy=per_class,
-        minority_accuracy=minority_accuracy,
-        confusion=confusion,
-    )
-
-
-def reference_window_counts(clients, n_latest, round_index, num_classes):
-    return oracle_counts(
-        [window_latest(c, n_latest, round_index).labels for c in clients], num_classes
-    )
+from reference import reference_estimate_counts, reference_evaluate, reference_window_counts
 
 
 def random_case(rng, q, s):
