@@ -62,7 +62,11 @@ def _summary_line(seed: int, summary: dict) -> str:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    """`run`, and `estimate-only`: fedimt without the test evaluation."""
     config = parse_config(args.config)
+    if args.estimate_only:
+        config.fl.algorithm = "fedimt"
+        config.skip_eval = True
     seed = config.seed if args.seed is None else args.seed
     csv_path, json_path = _default_paths(config, args.config)
     summary = _run_one(config, seed, csv_path, json_path)
@@ -104,18 +108,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_estimate_only(args: argparse.Namespace) -> int:
-    config = parse_config(args.config)
-    config.fl.algorithm = "fedimt"
-    config.skip_eval = True
-    seed = config.seed if args.seed is None else args.seed
-    csv_path, json_path = _default_paths(config, args.config)
-    summary = _run_one(config, seed, csv_path, json_path)
-    print(_summary_line(seed, summary))
-    print(f"wrote {csv_path} and {json_path}")
-    return 0
-
-
 def cmd_gen_data(args: argparse.Namespace) -> int:
     config = parse_config(args.config)
     if config.data_source != "synthetic":
@@ -143,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="execute one seeded experiment")
     run.add_argument("--config", required=True, help="experiment config file")
     run.add_argument("--seed", type=int, default=None, help="override config seed")
-    run.set_defaults(func=cmd_run)
+    run.set_defaults(func=cmd_run, estimate_only=False)
 
     sweep = sub.add_parser("sweep", help="repeat over seeds and aggregate")
     sweep.add_argument("--config", required=True, help="experiment config file")
@@ -155,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     est.add_argument("--config", required=True, help="experiment config file")
     est.add_argument("--seed", type=int, default=None, help="override config seed")
-    est.set_defaults(func=cmd_estimate_only)
+    est.set_defaults(func=cmd_run, estimate_only=True)
 
     gen = sub.add_parser("gen-data", help="write a synthetic dataset as IDX files")
     gen.add_argument("--config", required=True, help="config with a synthetic source")

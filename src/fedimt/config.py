@@ -3,7 +3,8 @@
 One `key = value` pair per line, `#` comments. Unknown keys, duplicate keys,
 and type errors are rejected with the offending line. Each key's type and
 default are declared once, as a field of FlConfig, EstimatorParams or
-ExperimentConfig or in _DATA_SOURCE_KEYS, and SCHEMA is derived from them.
+ExperimentConfig, as a parameter of make_synthetic_spec (the generator keys)
+or in _DATA_SOURCE_KEYS, and SCHEMA is derived from them.
 Exactly one data source (synthetic generator or IDX files) must be
 configured, and referenced files must exist at parse time.
 """
@@ -48,23 +49,20 @@ def _parser_for(hint):
 
 # The default of a key that every config must set.
 _REQUIRED = object()
-_GENERATOR = inspect.signature(make_synthetic_spec).parameters
 # The data-source keys are not dataclass fields: `data` picks the source, and
-# the generator keys become ExperimentConfig.synthetic. The generator's
-# tuning keys take their defaults from make_synthetic_spec.
+# `preset` fills in generator keys that the config leaves out.
 _DATA_SOURCE_KEYS: dict[str, tuple] = {
     "data": (str, _REQUIRED),  # synthetic | idx
     "preset": (str, None),  # tenclass | ford | har
-    "classes": (int, None),
-    "feature_dim": (int, None),
-    "class_counts": (list[int], None),
-    "cluster_scale": (float, _GENERATOR["cluster_scale"].default),
-    "class_separation": (float, _GENERATOR["class_separation"].default),
-    "run_length": (int, _GENERATOR["run_length"].default),
 }
-_SYNTHETIC_KEYS = ("classes", "feature_dim", "class_counts")
-# The generator keys whose make_synthetic_spec parameter has another name.
-_GENERATOR_ARGS = {"classes": "num_classes", "class_counts": "counts"}
+# The generator keys are make_synthetic_spec's parameters but seed; together
+# they become ExperimentConfig.synthetic. A synthetic config, or its preset,
+# must set each parameter that has no default.
+_GENERATOR = dict(inspect.signature(make_synthetic_spec, eval_str=True).parameters)
+del _GENERATOR["seed"]
+_GENERATOR_KEYS = {
+    key: (p.annotation, None if p.default is p.empty else p.default) for key, p in _GENERATOR.items()
+}
 _IDX_KEYS = ("idx_images", "idx_labels", "idx_test_images", "idx_test_labels")
 # ExperimentConfig fields that no config key fills by name.
 _NOT_KEYS = ("fl", "data_source", "synthetic", "estimator", "skip_eval")
@@ -86,28 +84,23 @@ class ExperimentConfig:
     csv_path: str | None = None
     json_path: str | None = None
     shards_per_client: int = 3
-    aux_per_class: int | None = None  # parse_config fills in 4 * batch_size
+    aux_per_class: int | None = None  # None: 4 * fl.batch_size
     test_fraction: float = 0.2
     hidden_sizes: tuple[int, ...] = (32,)
     estimator: EstimatorParams = field(default_factory=EstimatorParams)
-    skip_eval: bool = False  # set by `fedimt estimate`, not by a config key
+    skip_eval: bool = False  # set by `fedimt estimate-only`, not by a config key
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
+        if self.aux_per_class is None:
+            self.aux_per_class = 4 * self.fl.batch_size
+
+    def validate(self) -> None:  # the generator keys' rules are SyntheticSpec.validate's
         self.fl.validate()
         self.estimator.validate()
         if self.data_source not in ("synthetic", "idx"):
             raise ConfigError(f"data must be 'synthetic' or 'idx', got {self.data_source!r}")
-        if self.data_source == "synthetic":
-            params = self.synthetic
-            if params is None:
-                raise ConfigError("synthetic data source needs classes/feature_dim/class_counts")
-            if len(params["class_counts"]) != params["classes"]:
-                raise ConfigError(
-                    f"class_counts has {len(params['class_counts'])} entries "
-                    f"for {params['classes']} classes"
-                )
-            if sum(params["class_counts"]) <= 0:
-                raise ConfigError("class_counts must contain at least one sample")
+        if self.data_source == "synthetic" and self.synthetic is None:
+            raise ConfigError("synthetic data source needs classes/feature_dim/class_counts")
         if not 0.0 < self.test_fraction <= 1.0:
             raise ConfigError("test_fraction must be in (0, 1]")
         if self.shards_per_client < 1:
@@ -149,7 +142,7 @@ _DECLARED = {cls: _declared_keys(cls) for cls in (FlConfig, ExperimentConfig, Es
 # key -> (parser, default), in the order parse_config reports errors.
 SCHEMA: dict[str, tuple] = {
     key: (_parser_for(hint), default)
-    for declared in (_DATA_SOURCE_KEYS, *_DECLARED.values())
+    for declared in (_DATA_SOURCE_KEYS, _GENERATOR_KEYS, *_DECLARED.values())
     for key, (hint, default) in declared.items()
 }
 
@@ -203,10 +196,10 @@ def parse_config(path: str) -> ExperimentConfig:
             for key, preset_value in PRESETS[values["preset"]].items():
                 if key not in pairs:
                     values[key] = preset_value
-        missing = [k for k in _SYNTHETIC_KEYS if values[k] is None]
+        missing = [k for k, p in _GENERATOR.items() if p.default is p.empty and values[k] is None]
         if missing:
             raise ConfigError(f"{path}: synthetic data source needs keys {missing}")
-        synthetic = {k: values[k] for k in _DATA_SOURCE_KEYS if k not in ("data", "preset")}
+        synthetic = {k: values[k] for k in _GENERATOR}
         set_idx = [k for k in _IDX_KEYS if values[k] is not None]
         if set_idx:
             raise ConfigError(f"{path}: synthetic data source conflicts with keys {set_idx}")
@@ -219,13 +212,6 @@ def parse_config(path: str) -> ExperimentConfig:
         if values[key] is not None and not os.path.exists(values[key]):
             lineno = pairs[key][1]
             raise ConfigError(f"{path}:{lineno}: file not found: {values[key]}")
-
-    # The latest-window scheme trains on fresher data; bump the default lr
-    # unless the config pinned one explicitly.
-    if values["n_latest"] is not None and "lr" not in pairs:
-        values["lr"] = 0.002
-    if values["aux_per_class"] is None:
-        values["aux_per_class"] = 4 * values["batch_size"]
 
     def build(cls, **rest):
         return cls(**{key: values[key] for key in _DECLARED[cls]}, **rest)
@@ -242,13 +228,10 @@ def parse_config(path: str) -> ExperimentConfig:
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     if synthetic is not None:
-        args = {_GENERATOR_ARGS.get(key, key): value for key, value in synthetic.items()}
         try:  # the generator's own checks, so each rule keeps one home
-            make_synthetic_spec(**args).validate()
+            make_synthetic_spec(**synthetic).validate()
         except ValueError as exc:
-            # A message that starts with a generator parameter gets its key's line.
-            word = str(exc).partition(" ")[0]
-            key = next((k for k, arg in _GENERATOR_ARGS.items() if arg == word), word)
-            lineno = pairs.get(key, (None, None))[1]
+            # Each message starts with the key it concerns; name that key's line.
+            lineno = pairs.get(str(exc).partition(" ")[0], (None, None))[1]
             raise ConfigError(f"{path}:{lineno}: {exc}" if lineno else f"{path}: {exc}") from exc
     return config

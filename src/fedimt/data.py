@@ -86,41 +86,48 @@ class SyntheticSpec:
     counts: Array  # (Q,) samples per class
     run_length: int = 1  # mean same-class arrival burst, >= 1
 
-    def validate(self) -> None:
+    def validate(self) -> None:  # each message starts with the config key it concerns
         q, d = self.num_classes, self.feature_dim
-        if q < 1 or d < 1:
-            raise ValueError("need num_classes >= 1 and feature_dim >= 1")
+        if q < 1:
+            raise ValueError("classes must be >= 1")
+        if d < 1:
+            raise ValueError("feature_dim must be >= 1")
+        if len(self.counts) != q:
+            raise ValueError(f"class_counts has {len(self.counts)} entries for {q} classes")
         if self.means.shape != (q, d):
             raise ValueError(f"means shape {self.means.shape} != ({q}, {d})")
         if not self.cluster_scale >= 0.0:
             raise ValueError(f"cluster_scale must be >= 0, got {self.cluster_scale}")
         if np.any(self.counts < 0):
-            raise ValueError("counts must be >= 0")
+            raise ValueError("class_counts must be >= 0")
         if int(self.counts.sum()) == 0:
-            raise ValueError("spec produces zero samples")
+            raise ValueError("class_counts must contain at least one sample")
         if self.run_length < 1:
             raise ValueError("run_length must be >= 1")
 
 
 def make_synthetic_spec(
-    num_classes: int,
+    classes: int,
     feature_dim: int,
-    counts: list[int] | Array,
+    class_counts: list[int],
     cluster_scale: float = 1.0,
     class_separation: float = 3.0,
     run_length: int = 1,
     seed=0,
 ) -> SyntheticSpec:
-    """Spec with seeded class means of norm ~ class_separation."""
+    """Spec with seeded class means of norm ~ class_separation. The
+    parameters before seed are the config's generator keys, by name, type
+    and default."""
     rng = np.random.default_rng(seed)
-    means = rng.normal(0.0, 1.0, (num_classes, feature_dim))
-    means *= class_separation / np.sqrt(feature_dim)
+    # A size below 1 draws no means, so that validate names its key.
+    means = rng.normal(0.0, 1.0, (max(classes, 0), max(feature_dim, 0)))
+    means *= class_separation / np.sqrt(max(feature_dim, 1))
     return SyntheticSpec(
-        num_classes=num_classes,
+        num_classes=classes,
         feature_dim=feature_dim,
         means=means,
         cluster_scale=float(cluster_scale),
-        counts=np.asarray(counts, dtype=int),
+        counts=np.asarray(class_counts, dtype=int),
         run_length=int(run_length),
     )
 

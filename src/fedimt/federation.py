@@ -81,7 +81,7 @@ class FlConfig:
     selection_rate: float = 0.3
     local_epochs: int = 5
     batch_size: int = 32
-    lr: float = 0.001
+    lr: float | None = None  # None: 0.001, or 0.002 when n_latest is set
     momentum: float = 0.9
     strategy: str = "fedavg"
     prox_mu: float = 0.0
@@ -91,6 +91,10 @@ class FlConfig:
     beta: float = 0.999
     baseline_loss: str = "plain_ce"  # loss for algorithm=baseline: plain_ce | focal
     focal_gamma: float = 2.0
+
+    def __post_init__(self) -> None:
+        if self.lr is None:  # the latest-window scheme trains on fresher data, so it steps further
+            self.lr = 0.001 if self.n_latest is None else 0.002
 
     def validate(self) -> None:
         if self.num_clients < 1:
@@ -444,26 +448,12 @@ def _build_datasets(config: "ExperimentConfig", seed) -> tuple[Dataset, Dataset]
         if test.num_classes < train.num_classes:
             test.num_classes = train.num_classes
         return train, test
-    params = config.synthetic
-    spec = make_synthetic_spec(
-        params["classes"],
-        params["feature_dim"],
-        params["class_counts"],
-        cluster_scale=params["cluster_scale"],
-        class_separation=params["class_separation"],
-        run_length=params["run_length"],
-        seed=derive_seed(seed, _STREAM_MEANS),
-    )
+    spec = make_synthetic_spec(**config.synthetic, seed=derive_seed(seed, _STREAM_MEANS))
     train = gen_synthetic(spec, derive_seed(seed, _STREAM_TRAIN_DATA))
-    test_counts = np.array(
-        [
-            int(round(c * config.test_fraction)) if c > 0 else 0
-            for c in params["class_counts"]
-        ]
-    )
+    # Each class's test_fraction share, rounded half to even; a non-empty class keeps one.
     test_counts = np.where(
-        (np.asarray(params["class_counts"]) > 0) & (test_counts == 0), 1, test_counts
-    )
+        spec.counts > 0, np.maximum(np.rint(spec.counts * config.test_fraction), 1), 0
+    ).astype(int)
     test = gen_synthetic(replace(spec, counts=test_counts), derive_seed(seed, _STREAM_TEST_DATA))
     return train, test
 
@@ -477,7 +467,7 @@ def build_runner(config: "ExperimentConfig", seed) -> FederatedRunner:
         derive_seed(seed, _STREAM_PARTITION),
     )
     aux = None
-    if config.fl.algorithm == "fedimt" and train.num_classes >= 2:
+    if config.fl.algorithm == "fedimt":
         if config.aux_idx_images is not None:
             aux = auxiliary_from_dataset(load_idx(config.aux_idx_images, config.aux_idx_labels))
         else:

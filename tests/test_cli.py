@@ -70,7 +70,11 @@ class TestRun:
         [
             ("cluster_scale = -1", "cluster_scale must be >= 0"),
             ("run_length = 0", "run_length must be >= 1"),
-            ("class_counts = 40,-1,16", "counts must be >= 0"),
+            ("class_counts = 40,-1,16", "class_counts must be >= 0"),
+            ("class_counts = 40,16", "class_counts has 2 entries for 3 classes"),
+            ("classes = 0", "classes must be >= 1"),
+            ("classes = -1", "classes must be >= 1"),
+            ("feature_dim = 0", "feature_dim must be >= 1"),
         ],
     )
     def test_generator_key_rejected_with_its_line(self, tmp_path, capsys, line, message):

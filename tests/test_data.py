@@ -73,6 +73,11 @@ class TestGenSynthetic:
         with pytest.raises(ValueError, match="cluster_scale"):
             gen_synthetic(spec, seed=0)
 
+    def test_class_counts_length_must_match_classes(self):
+        spec = make_synthetic_spec(3, 4, [1, 2])
+        with pytest.raises(ValueError, match="class_counts has 2 entries for 3 classes"):
+            gen_synthetic(spec, 0)
+
     def test_presets_have_generator_params(self):
         for name, params in PRESETS.items():
             assert len(params["class_counts"]) == params["classes"], name
@@ -111,11 +116,7 @@ class TestGeneratorMatchesReference:
     @pytest.mark.parametrize("params", [*PRESETS.values(), MANYCLASS], ids=[*PRESETS, "manyclass"])
     @pytest.mark.parametrize("seed", [0, 1007])
     def test_gen_synthetic_matches_per_class_draws(self, params, seed):
-        spec = make_synthetic_spec(
-            params["classes"], params["feature_dim"], params["class_counts"],
-            params["cluster_scale"], params["class_separation"], params["run_length"],
-            seed=seed,
-        )
+        spec = make_synthetic_spec(**params, seed=seed)
         got, want = gen_synthetic(spec, seed + 1), reference_gen_synthetic(spec, seed + 1)
         for name in ("features", "labels", "time_order"):
             a, b = getattr(got, name), getattr(want, name)

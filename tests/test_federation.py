@@ -335,3 +335,18 @@ class TestConfigValidation:
     def test_bad_baseline_loss(self):
         with pytest.raises(ValueError):
             FlConfig(num_clients=4, rounds=1, baseline_loss="ghmc").validate()
+
+
+class TestDerivedDefaults:
+    """A config built in code gets the defaults a config file gets."""
+
+    def test_aux_per_class_defaults_to_four_batches(self):
+        config = synthetic_exp_config(rounds=1, aux_per_class=None)
+        report = run_experiment(config, seed=0)
+        assert config.aux_per_class == 4 * config.fl.batch_size
+        assert len(report.records) == 2
+
+    def test_lr_default_follows_n_latest(self):
+        assert FlConfig(num_clients=4, rounds=1).lr == 0.001
+        assert FlConfig(num_clients=4, rounds=1, n_latest=16).lr == 0.002
+        assert FlConfig(num_clients=4, rounds=1, n_latest=16, lr=0.005).lr == 0.005
