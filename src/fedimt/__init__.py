@@ -49,14 +49,16 @@ from .metrics import (
 )
 from .nn import (
     Activations,
-    Gradients,
     LossSpec,
+    LossTargets,
     MlpModel,
     OptState,
     backward,
     compute_loss,
     forward,
     grad_check,
+    layer_views,
+    loss_targets,
     mlp_init,
     sgd_step,
 )

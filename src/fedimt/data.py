@@ -209,8 +209,14 @@ def load_idx(images_path: str, labels_path: str) -> Dataset:
 
 
 def write_idx(dataset: Dataset, images_path: str, labels_path: str) -> None:
-    """Write features (clipped to [0, 1], quantized to ubyte) as n x 1 x d images."""
+    """Write features (clipped to [0, 1], quantized to ubyte) as n x 1 x d images.
+
+    IDX stores each label as one ubyte, so a label outside [0, 255] is
+    rejected rather than wrapped.
+    """
     n, d = dataset.features.shape
+    if dataset.labels.min(initial=0) < 0 or dataset.labels.max(initial=0) > 255:
+        raise ValueError(f"{labels_path}: IDX labels are ubytes, so they must lie in [0, 255]")
     pixels = np.clip(np.rint(dataset.features * 255.0), 0, 255).astype(np.uint8)
     with open(images_path, "wb") as f:
         f.write(struct.pack(">iiii", IDX_IMAGE_MAGIC, n, 1, d))

@@ -96,7 +96,9 @@ def probe_auxiliary(
         if len(feats) == 0:
             raise ValueError(f"auxiliary class {q} is empty")
         acts = forward(prev_model, feats)
-        grad = acts.probabilities.copy()
+        # acts is local to this iteration, so its softmax can take the
+        # one-hot subtraction in place.
+        grad = acts.probabilities
         grad[:, q] -= 1.0
         np.matmul(acts.hidden_outputs.T, grad, out=per_class[q])
         per_class[q] *= scale
@@ -130,7 +132,7 @@ def estimate_counts(
     params.validate()
     if total_samples <= 0:
         raise ValueError("total_samples must be > 0")
-    per_class = np.asarray(aux_grads.per_class)  # (Q, s, Q)
+    per_class = aux_grads.per_class  # (Q, s, Q)
     q_total, s = per_class.shape[:2]
     classes = np.arange(q_total)
     # Row p of own and other: class p's probe update at column p, and the

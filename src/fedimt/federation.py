@@ -177,7 +177,7 @@ def local_update(
     Each client draws a fresh permutation per epoch from its own seed and
     keeps its final partial batch. A row mask pads the short batches to
     batch_size, and a step mask freezes a client once it has taken its
-    local_epochs * ceil(n / batch_size) steps. The loss's label half is
+    local_epochs * ceil(n / batch_size) steps. The loss targets are
     built once for the whole round. fedprox adds prox_mu * (w - w_global)
     to each weight gradient.
     """
@@ -226,10 +226,9 @@ def local_update(
     n_weights = sum(w.size for w in global_model.weights)  # the buffer's weight prefix
     for t in range(n_steps):
         acts = forward(model, all_features.take(rows[t], axis=0))
-        _, grad_logits = compute_loss(acts, targets[t], loss_spec)
-        grads = backward(model, acts, grad_logits)
+        grads = backward(model, acts, compute_loss(acts, targets[t]))
         if prox:
-            grads.flat[:, :n_weights] += config.prox_mu * (
+            grads[:, :n_weights] += config.prox_mu * (
                 model.params[:, :n_weights] - global_model.params[:n_weights]
             )
         sgd_step(model, grads, opt, None if all_active[t] else active[t])

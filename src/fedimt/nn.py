@@ -87,18 +87,6 @@ class Activations:
 
 
 @dataclass
-class Gradients:
-    """Gradients of a scalar loss in one flat buffer laid out like the
-    model's params; weight_grads[i] and bias_grads[i] are views of it."""
-
-    layer_sizes: list[int]
-    flat: Array
-
-    def __post_init__(self) -> None:
-        self.weight_grads, self.bias_grads = layer_views(self.layer_sizes, self.flat)
-
-
-@dataclass
 class LossSpec:
     """Which loss to apply and its parameters.
 
@@ -218,11 +206,11 @@ def effective_number_weight(n: Array | float, beta: float) -> Array:
 
 @dataclass
 class LossTargets:
-    """The label half of compute_loss: what depends on the labels, the spec
-    and the row mask but not on the logits. One step covers (B,) or (K, B)
-    rows; a round's (T, K, B) targets are built once and targets[t] is step
-    t. The logit half writes each row's loss term into row_loss, and loss()
-    sums the rows afterwards, so a round sums its losses once."""
+    """What compute_loss needs of the labels, the spec and the row mask:
+    everything but the logits. One step covers (B,) or (K, B) rows; a
+    round's (T, K, B) targets are built once and targets[t] is step t.
+    compute_loss writes each row's loss term into row_loss, and loss() sums
+    the rows afterwards, so a round sums its losses once."""
 
     spec: LossSpec
     onehot: Array  # (..., B, q) bool
@@ -249,7 +237,7 @@ class LossTargets:
 def loss_targets(
     labels: Array, spec: LossSpec, num_classes: int, mask: Array | None = None
 ) -> LossTargets:
-    """Check the labels, the mask and the spec, and build the label half.
+    """Check the labels, the mask and the spec, and build compute_loss's targets.
 
     labels is (B,), (K, B), or a round's (T, K, B); the last two axes are one
     step's rows. mask, shaped like labels, marks the rows that count.
@@ -274,32 +262,20 @@ def loss_targets(
     return LossTargets(spec, onehot, pt_index, row_w, sample_w, np.empty(labels.shape))
 
 
-def compute_loss(
-    acts: Activations, labels: Array | LossTargets, spec: LossSpec, mask: Array | None = None
-) -> tuple[float | Array | None, Array]:
-    """Return (loss, grad_logits) where grad_logits = d loss / d logits.
+def compute_loss(acts: Activations, targets: LossTargets) -> Array:
+    """Return grad_logits = d loss / d logits for one step of targets.
 
-    The loss is the mean over the batch rows, and grad_logits carries the
-    1/rows factor, so backward() applies the plain chain rule. On stacked
-    activations labels is (K, B) and the loss is an array of K per-client
-    means. mask, shaped like labels, marks the rows that count: the others
-    get a zero gradient and stay out of the mean, and a client with no rows
-    left reads a loss of 0.
-
-    This is loss_targets (the label half), then the logit half. labels may
-    instead be one step of targets built for this spec: the label half is
-    reused, and the returned loss is None; LossTargets.loss() sums it later.
+    The loss is the mean over each step's counted rows, and grad_logits
+    carries that 1/rows factor, so backward() applies the plain chain rule.
+    A masked row gets a zero gradient. Each row's loss term goes into
+    targets.row_loss; targets.loss() sums them when the caller wants them.
 
     The log-probabilities are taken from the forward pass's softmax, floored
     at 1e-300, so a sample's loss term is capped at -log(1e-300) ~ 690.8.
     """
-    probs = acts.probabilities
-    prebuilt = isinstance(labels, LossTargets)
-    if prebuilt and (labels.spec is not spec or mask is not None):
-        raise ValueError("prebuilt loss targets already carry their spec and mask")
-    targets = labels if prebuilt else loss_targets(labels, spec, probs.shape[-1], mask)
+    probs, spec = acts.probabilities, targets.spec
     if targets.row_w.shape != probs.shape[:-1]:
-        raise ValueError(f"labels shape {targets.row_w.shape} does not match batch {probs.shape[:-1]}")
+        raise ValueError(f"targets shape {targets.row_w.shape} does not match batch {probs.shape[:-1]}")
 
     pt = np.maximum(probs.take(targets.pt_index), 1e-300)
     log_pt = np.log(pt)
@@ -318,49 +294,45 @@ def compute_loss(
     else:
         np.multiply(-targets.sample_w, log_pt, out=targets.row_loss)
         grad_w = (targets.sample_w * targets.row_w)[..., None]
-    grad = grad_w * (probs - targets.onehot)
-    if prebuilt:
-        return None, grad
-    loss = targets.loss()
-    return (float(loss) if loss.ndim == 0 else loss), grad
+    return grad_w * (probs - targets.onehot)
 
 
-def backward(model: MlpModel, acts: Activations, grad_logits: Array) -> Gradients:
-    """Chain-rule gradients of the loss whose logit gradient is grad_logits;
-    on a stacked model each gradient carries the leading client axis."""
+def backward(model: MlpModel, acts: Activations, grad_logits: Array) -> Array:
+    """Chain-rule gradients of the loss whose logit gradient is grad_logits,
+    in one flat buffer laid out like model.params (split it with
+    layer_views); on a stacked model it carries the leading client axis."""
     if grad_logits.shape != acts.logits.shape:
         raise ValueError(
             f"grad_logits shape {grad_logits.shape} does not match logits {acts.logits.shape}"
         )
-    grads = Gradients(model.layer_sizes, np.empty_like(model.params))
+    grads = np.empty_like(model.params)
+    weight_grads, bias_grads = layer_views(model.layer_sizes, grads)
     g = grad_logits
     for i in range(len(model.weights) - 1, -1, -1):
         layer_in = acts.layer_outputs[i - 1] if i > 0 else acts.inputs
-        np.matmul(layer_in.swapaxes(-1, -2), g, out=grads.weight_grads[i])
-        np.add.reduce(g, axis=-2, out=grads.bias_grads[i])
+        np.matmul(layer_in.swapaxes(-1, -2), g, out=weight_grads[i])
+        np.add.reduce(g, axis=-2, out=bias_grads[i])
         if i > 0:
             g = g @ model.weights[i].swapaxes(-1, -2)
             g *= acts.layer_outputs[i - 1] > 0.0
     return grads
 
 
-def sgd_step(
-    model: MlpModel, grads: Gradients, opt: OptState, active: Array | None = None
-) -> MlpModel:
-    """In-place SGD update; with momentum mu: buf = mu*buf + g, w -= lr*buf.
+def sgd_step(model: MlpModel, grads: Array, opt: OptState, active: Array | None = None) -> MlpModel:
+    """In-place SGD update from a flat gradient buffer shaped like
+    model.params; with momentum mu: buf = mu*buf + g, w -= lr*buf.
 
     On a stacked model, active is a (K,) boolean step mask: a client whose
     entry is False keeps its weights and momentum buffer exactly as they
     were, whatever its gradient holds.
     """
-    g = grads.flat
-    if g.shape != model.params.shape:
-        raise ValueError(f"gradient shape {g.shape} does not match parameters {model.params.shape}")
+    if grads.shape != model.params.shape:
+        raise ValueError(f"gradient shape {grads.shape} does not match parameters {model.params.shape}")
     keep = True if active is None else active[:, None]
     if opt.momentum != 0.0:
-        np.copyto(opt.velocity, opt.momentum * opt.velocity + g, where=keep)
-        g = opt.velocity
-    np.subtract(model.params, opt.lr * g, out=model.params, where=keep)
+        np.copyto(opt.velocity, opt.momentum * opt.velocity + grads, where=keep)
+        grads = opt.velocity
+    np.subtract(model.params, opt.lr * grads, out=model.params, where=keep)
     return model
 
 
@@ -379,16 +351,17 @@ def grad_check(
     if not 0.0 < eps <= 1e-3:
         raise ValueError(f"eps must be in (0, 1e-3], got {eps}")
 
+    targets = loss_targets(labels, spec, model.num_classes)
+
     def loss_at() -> float:
-        acts = forward(model, batch)
-        return compute_loss(acts, labels, spec)[0]
+        compute_loss(forward(model, batch), targets)
+        return float(targets.loss())
 
     acts = forward(model, batch)
-    _, grad_logits = compute_loss(acts, labels, spec)
-    grads = backward(model, acts, grad_logits)
+    grads = backward(model, acts, compute_loss(acts, targets))
 
     worst = 0.0
-    flat, gflat = model.params.reshape(-1), grads.flat.reshape(-1)
+    flat, gflat = model.params.reshape(-1), grads.reshape(-1)
     for idx in range(flat.size):
         orig = flat[idx]
         flat[idx] = orig + eps

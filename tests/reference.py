@@ -3,7 +3,10 @@
 Each function below is the earlier code, kept as it was. Tests compare a fast
 path against its reference and require equal results, bit for bit, except
 reference_local_update, whose per-client loop sums in another order than the
-lockstep engine (tests/test_lockstep.py holds its tolerance).
+lockstep engine (tests/test_lockstep.py holds its tolerance). Only its calls
+into fedimt.nn follow that module's current API: it builds each batch's loss
+targets with loss_targets, and its FedProx loop adds to the weight views that
+layer_views cuts from the flat gradient buffer.
 """
 
 import numpy as np
@@ -18,6 +21,8 @@ from fedimt.nn import (
     compute_loss,
     effective_number_weight,
     forward,
+    layer_views,
+    loss_targets,
     sgd_step,
 )
 
@@ -79,16 +84,17 @@ def reference_local_update(client_id, features, labels, global_model, config, lo
         for start in range(0, n, config.batch_size):
             batch = order[start : start + config.batch_size]
             acts = forward(model, features[batch])
-            loss, grad_logits = compute_loss(acts, labels[batch], loss_spec)
-            grads = backward(model, acts, grad_logits)
+            targets = loss_targets(labels[batch], loss_spec, model.num_classes)
+            grads = backward(model, acts, compute_loss(acts, targets))
             if prox:
+                weight_grads, _ = layer_views(model.layer_sizes, grads)
                 for i in range(len(model.weights)):
-                    grads.weight_grads[i] += config.prox_mu * (
+                    weight_grads[i] += config.prox_mu * (
                         model.weights[i] - global_model.weights[i]
                     )
             sgd_step(model, grads, opt)
             steps += 1
-            loss_total += loss
+            loss_total += float(targets.loss())
     return ClientUpdate(
         client_id=client_id,
         model=model,

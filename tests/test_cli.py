@@ -186,6 +186,18 @@ class TestGenData:
         pixels = np.rint((train.features - train.features.min()) / span * 255.0) / 255.0
         np.testing.assert_array_equal(ds.features, pixels)
 
+    def test_rejects_labels_that_do_not_fit_a_ubyte(self, tmp_path, capsys):
+        path = tmp_path / "wide.cfg"
+        path.write_text(
+            "data = synthetic\nclasses = 300\nfeature_dim = 2\n"
+            f"class_counts = {','.join(['2'] * 300)}\nnum_clients = 2\nrounds = 1\n"
+        )
+        lab = str(tmp_path / "gen_lab")
+        code = cli_main(["gen-data", "--config", str(path), "--images", str(tmp_path / "gen_img"), "--labels", lab])
+        assert code == 1
+        assert lab in capsys.readouterr().err
+        assert not os.path.exists(lab)
+
     def test_rejects_idx_source(self, tmp_path, capsys):
         from fedimt.data import write_idx
         from conftest import make_dataset

@@ -117,7 +117,7 @@ class TestEstimateCounts:
         s, q = 3, 2
         own0 = np.array([[0.5, 0.0], [0.3, 0.0], [0.2, 0.0]])
         own1 = np.array([[0.0, 0.4], [0.0, 0.6], [0.0, 0.1]])
-        grads = AuxGradients(per_class=[own0, own1], n_aux=np.array([4.0, 4.0]))
+        grads = AuxGradients(per_class=np.stack([own0, own1]), n_aux=np.array([4.0, 4.0]))
         w = np.zeros((s, q))
         est = estimate_counts(grads, w, w, total_samples=100.0, num_selected=1)
         np.testing.assert_allclose(est.counts, [0.0, 0.0])
@@ -125,10 +125,10 @@ class TestEstimateCounts:
 
     def test_weighted_summation_arithmetic(self):
         # two usable nodes with raw estimates 100 and 200 at confidences 3 and 1
-        per_class = [
-            np.array([[3.0, 0.0], [2.0, 0.0]]),
-            np.array([[-1.0, 1.0], [-2.0, 1.0]]),
-        ]
+        per_class = np.array([
+            [[3.0, 0.0], [2.0, 0.0]],
+            [[-1.0, 1.0], [-2.0, 1.0]],
+        ])
         grads = AuxGradients(per_class=per_class, n_aux=np.array([1.0, 1.0]))
         w_prev = np.zeros((2, 2))
         w_new = np.zeros((2, 2))
@@ -151,7 +151,7 @@ class TestEstimateCounts:
 
     def test_counts_clamped_to_range(self):
         rng = np.random.default_rng(0)
-        per_class = [rng.normal(0, 1, (4, 3)) for _ in range(3)]
+        per_class = np.stack([rng.normal(0, 1, (4, 3)) for _ in range(3)])
         grads = AuxGradients(per_class=per_class, n_aux=np.full(3, 2.0))
         est = estimate_counts(
             grads,
@@ -164,7 +164,7 @@ class TestEstimateCounts:
         assert np.all(est.counts <= 10.0)
 
     def test_all_nodes_skipped_falls_back(self):
-        per_class = [np.zeros((3, 2)), np.zeros((3, 2))]
+        per_class = np.zeros((2, 3, 2))
         grads = AuxGradients(per_class=per_class, n_aux=np.array([1.0, 1.0]))
         est = estimate_counts(grads, np.zeros((3, 2)), np.ones((3, 2)), 80.0, 1)
         assert est.fallback.all()
@@ -182,7 +182,7 @@ class TestEstimateCounts:
         base = estimate_counts(grads, model.weights[-1], model.weights[-1] + delta, 160.0, 1)
         lam = 7.3
         scaled = AuxGradients(
-            per_class=[lam * g for g in grads.per_class], n_aux=grads.n_aux
+            per_class=lam * grads.per_class, n_aux=grads.n_aux
         )
         rescaled = estimate_counts(
             scaled, model.weights[-1], model.weights[-1] + lam * delta, 160.0, 1
@@ -190,7 +190,7 @@ class TestEstimateCounts:
         np.testing.assert_allclose(rescaled.counts, base.counts, rtol=1e-9)
 
     def test_total_samples_precondition(self):
-        grads = AuxGradients(per_class=[np.ones((2, 2))] * 2, n_aux=np.ones(2))
+        grads = AuxGradients(per_class=np.ones((2, 2, 2)), n_aux=np.ones(2))
         with pytest.raises(ValueError):
             estimate_counts(grads, np.zeros((2, 2)), np.zeros((2, 2)), 0.0, 1)
 

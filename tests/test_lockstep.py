@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedimt.federation import ClientUpdate, FlConfig, aggregate, local_update
-from fedimt.nn import Gradients, LossSpec, MlpModel, mlp_init
+from fedimt.nn import LossSpec, MlpModel, layer_views, mlp_init
 from reference import reference_aggregate, reference_local_update, reference_lockstep_update
 
 TOL = 1e-12
@@ -176,11 +176,12 @@ def test_aggregate_matches_per_layer_sum_bit_for_bit(strategy, clients, seed):
 def test_weights_and_biases_are_views_of_the_flat_buffer():
     single = mlp_init([4, 8, 3], seed=1)
     stacked = MlpModel(single.layer_sizes, np.stack([single.params] * 3))
-    grads = Gradients(single.layer_sizes, np.zeros_like(stacked.params))
+    grads = np.zeros_like(stacked.params)
+    grad_weights, grad_biases = layer_views(single.layer_sizes, grads)
     for flat, views in (
         (single.params, single.weights + single.biases),
         (stacked.params, stacked.weights + stacked.biases),
-        (grads.flat, grads.weight_grads + grads.bias_grads),
+        (grads, grad_weights + grad_biases),
     ):
         assert sum(v.size for v in views) == flat.size
         for view in views:

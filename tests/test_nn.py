@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedimt.nn import (
-    Gradients,
     LossSpec,
     MlpModel,
     OptState,
@@ -13,6 +12,7 @@ from fedimt.nn import (
     effective_number_weight,
     forward,
     grad_check,
+    layer_views,
     loss_targets,
     mlp_init,
     sgd_step,
@@ -24,6 +24,18 @@ def seeded_batch(model, n, seed):
     x = rng.normal(0.0, 1.0, (n, model.layer_sizes[0]))
     y = rng.integers(0, model.num_classes, n)
     return x, y
+
+
+def loss_and_grad(acts, labels, spec, mask=None):
+    """The loss (a per-client array on a stacked model) and grad_logits."""
+    targets = loss_targets(labels, spec, acts.logits.shape[-1], mask)
+    grad = compute_loss(acts, targets)
+    return targets.loss(), grad
+
+
+def all_layers(layer_sizes, grads):
+    weights, biases = layer_views(layer_sizes, grads)
+    return weights + biases
 
 
 class TestMlpInit:
@@ -106,16 +118,16 @@ class TestComputeLoss:
         for w in model.weights:
             w[:] = 0.0
         acts = forward(model, np.zeros((5, 4)))
-        loss, _ = compute_loss(acts, np.array([0, 1, 2, 0, 1]), LossSpec())
+        loss, _ = loss_and_grad(acts, np.array([0, 1, 2, 0, 1]), LossSpec())
         assert loss == pytest.approx(np.log(3.0), abs=1e-12)
 
     def test_beta_zero_equals_plain_ce(self):
         model = mlp_init([4, 8, 3], seed=5)
         x, y = seeded_batch(model, 12, seed=9)
         acts = forward(model, x)
-        plain, g_plain = compute_loss(acts, y, LossSpec())
+        plain, g_plain = loss_and_grad(acts, y, LossSpec())
         spec = LossSpec(kind="class_balanced", beta=0.0, per_class_n=np.array([9.0, 2.0, 1.0]))
-        balanced, g_bal = compute_loss(acts, y, spec)
+        balanced, g_bal = loss_and_grad(acts, y, spec)
         assert balanced == pytest.approx(plain, rel=1e-12)
         np.testing.assert_allclose(g_bal, g_plain)
 
@@ -145,16 +157,16 @@ class TestComputeLoss:
         x, y = seeded_batch(model, 8, seed=2)
         acts = forward(model, x)
         spec = LossSpec(kind="class_balanced", beta=0.9, class_weights=np.ones(3))
-        balanced, _ = compute_loss(acts, y, spec)
-        plain, _ = compute_loss(acts, y, LossSpec())
+        balanced, _ = loss_and_grad(acts, y, spec)
+        plain, _ = loss_and_grad(acts, y, LossSpec())
         assert balanced == pytest.approx(plain, rel=1e-12)
 
     def test_focal_gamma_zero_equals_plain_ce(self):
         model = mlp_init([4, 8, 3], seed=5)
         x, y = seeded_batch(model, 10, seed=3)
         acts = forward(model, x)
-        focal, g_f = compute_loss(acts, y, LossSpec(kind="focal", gamma=0.0))
-        plain, g_p = compute_loss(acts, y, LossSpec())
+        focal, g_f = loss_and_grad(acts, y, LossSpec(kind="focal", gamma=0.0))
+        plain, g_p = loss_and_grad(acts, y, LossSpec())
         assert focal == pytest.approx(plain, rel=1e-12)
         np.testing.assert_allclose(g_f, g_p, atol=1e-12)
 
@@ -162,21 +174,25 @@ class TestComputeLoss:
         model = mlp_init([4, 8, 3], seed=5)
         x, y = seeded_batch(model, 10, seed=3)
         acts = forward(model, x)
-        focal, _ = compute_loss(acts, y, LossSpec(kind="focal", gamma=2.0))
-        plain, _ = compute_loss(acts, y, LossSpec())
+        focal, _ = loss_and_grad(acts, y, LossSpec(kind="focal", gamma=2.0))
+        plain, _ = loss_and_grad(acts, y, LossSpec())
         assert focal < plain
 
     def test_label_out_of_range(self):
-        model = mlp_init([4, 8, 3], seed=0)
-        acts = forward(model, np.zeros((2, 4)))
         with pytest.raises(ValueError):
-            compute_loss(acts, np.array([0, 3]), LossSpec())
+            loss_targets(np.array([0, 3]), LossSpec(), 3)
 
     def test_class_balanced_requires_counts(self):
+        with pytest.raises(ValueError):
+            loss_targets(np.array([0, 1]), LossSpec(kind="class_balanced", beta=0.9), 3)
+
+    def test_targets_must_match_the_batch(self):
         model = mlp_init([4, 8, 3], seed=0)
         acts = forward(model, np.zeros((2, 4)))
         with pytest.raises(ValueError):
-            compute_loss(acts, np.array([0, 1]), LossSpec(kind="class_balanced", beta=0.9))
+            compute_loss(acts, loss_targets(np.array([0, 1, 2]), LossSpec(), 3))
+        with pytest.raises(ValueError):
+            compute_loss(acts, loss_targets(np.zeros((2, 2), dtype=int), LossSpec(), 3))
 
     def test_per_class_n_below_one_rejected(self):
         spec = LossSpec(kind="class_balanced", beta=0.9, per_class_n=np.array([1.0, 0.5, 2.0]))
@@ -190,7 +206,7 @@ class TestBackward:
         x, _ = seeded_batch(model, 6, seed=1)
         acts = forward(model, x)
         grads = backward(model, acts, np.zeros_like(acts.logits))
-        for g in grads.weight_grads + grads.bias_grads:
+        for g in all_layers(model.layer_sizes, grads):
             assert not np.any(g)
 
     def test_matches_finite_differences(self):
@@ -202,14 +218,16 @@ class TestBackward:
         model = mlp_init([4, 8, 3], seed=11)
         x, y = seeded_batch(model, 7, seed=13)
         acts = forward(model, x)
-        _, g = compute_loss(acts, y, LossSpec())
+        _, g = loss_and_grad(acts, y, LossSpec())
         grads = backward(model, acts, g)
 
         x2, y2 = np.concatenate([x, x]), np.concatenate([y, y])
         acts2 = forward(model, x2)
-        _, g2 = compute_loss(acts2, y2, LossSpec())
+        _, g2 = loss_and_grad(acts2, y2, LossSpec())
         grads2 = backward(model, acts2, g2)
-        for a, b in zip(grads.weight_grads, grads2.weight_grads):
+        weights, _ = layer_views(model.layer_sizes, grads)
+        weights2, _ = layer_views(model.layer_sizes, grads2)
+        for a, b in zip(weights, weights2):
             np.testing.assert_allclose(a, b, atol=1e-12)
 
     def test_shape_mismatch(self):
@@ -235,7 +253,7 @@ class TestSgdStep:
         model = mlp_init([1, 1], seed=0)
         model.weights[0][:] = 1.0
         opt = OptState.for_model(model, lr=0.001, momentum=0.0)
-        sgd_step(model, Gradients([1, 1], np.array([2.0, 0.0])), opt)
+        sgd_step(model, np.array([2.0, 0.0]), opt)
         assert model.weights[0][0, 0] == pytest.approx(0.998, abs=1e-15)
 
     def test_momentum_matches_hand_unroll(self):
@@ -245,8 +263,8 @@ class TestSgdStep:
         lr, mu = 0.1, 0.9
         g1, g2 = 0.5, -0.25
         opt = OptState.for_model(model, lr=lr, momentum=mu)
-        sgd_step(model, Gradients([1, 1], np.array([g1, 0.0])), opt)
-        sgd_step(model, Gradients([1, 1], np.array([g2, 0.0])), opt)
+        sgd_step(model, np.array([g1, 0.0]), opt)
+        sgd_step(model, np.array([g2, 0.0]), opt)
         buf1 = g1
         w1 = 1.0 - lr * buf1
         buf2 = mu * buf1 + g2
@@ -257,9 +275,10 @@ class TestSgdStep:
         model = mlp_init([3, 5, 2], seed=4)
         x, y = seeded_batch(model, 4, seed=4)
         acts = forward(model, x)
-        _, g = compute_loss(acts, y, LossSpec())
+        _, g = loss_and_grad(acts, y, LossSpec())
         grads = backward(model, acts, g)
-        expected = [w - 0.05 * gw for w, gw in zip(model.weights, grads.weight_grads)]
+        weight_grads, _ = layer_views(model.layer_sizes, grads)
+        expected = [w - 0.05 * gw for w, gw in zip(model.weights, weight_grads)]
         opt = OptState.for_model(model, lr=0.05, momentum=0.0)
         sgd_step(model, grads, opt)
         for w, e in zip(model.weights, expected):
@@ -284,10 +303,10 @@ class TestGradCheck:
         x = np.zeros((3, 2))
         y = np.array([0, 1, 0])
         acts = forward(model, x)
-        _, g = compute_loss(acts, y, LossSpec())
-        grads = backward(model, acts, g)
-        assert not np.any(grads.weight_grads[0])
-        assert not np.any(grads.weight_grads[1])
+        _, g = loss_and_grad(acts, y, LossSpec())
+        weight_grads, _ = layer_views(model.layer_sizes, backward(model, acts, g))
+        assert not np.any(weight_grads[0])
+        assert not np.any(weight_grads[1])
         assert grad_check(model, x, y, LossSpec(), eps=1e-5) < 1e-6
 
     def test_eps_precondition(self):
@@ -319,39 +338,38 @@ class TestClientAxis:
         mask = np.arange(6) < np.array([6, 4, 0])[:, None]  # client 2 has no rows
         stacked = stack(models)
         acts = forward(stacked, x)
-        losses, g = compute_loss(acts, y, spec, mask)
-        grads = backward(stacked, acts, g)
+        losses, g = loss_and_grad(acts, y, spec, mask)
+        grads = all_layers(stacked.layer_sizes, backward(stacked, acts, g))
         assert losses.shape == (3,) and losses[2] == 0.0
         for k in range(2):
             rows = mask[k]
             a = forward(models[k], x[k, rows])
-            loss, gk = compute_loss(a, y[k, rows], spec)
-            ref = backward(models[k], a, gk)
+            loss, gk = loss_and_grad(a, y[k, rows], spec)
+            ref = all_layers(models[k].layer_sizes, backward(models[k], a, gk))
             assert losses[k] == pytest.approx(loss, abs=1e-12)
-            for got, want in zip(
-                grads.weight_grads + grads.bias_grads, ref.weight_grads + ref.bias_grads
-            ):
+            for got, want in zip(grads, ref):
                 np.testing.assert_allclose(got[k], want, atol=1e-12)
-        for got in grads.weight_grads + grads.bias_grads:
+        for got in grads:
             assert not np.any(got[2])
 
     @pytest.mark.parametrize("spec", SPECS, ids=["plain_ce", "class_balanced", "focal"])
     def test_prebuilt_targets_give_the_same_bits(self, spec):
+        """Targets built for a (T, K, B) round and sliced at step t give the
+        bits of targets built for step t alone."""
         stacked = stack([mlp_init([4, 8, 3], seed=s) for s in range(3)])
         rng = np.random.default_rng(1)
-        y = rng.integers(0, 3, (3, 6))
-        mask = np.arange(6) < np.array([6, 2, 0])[:, None]
-        acts = forward(stacked, rng.normal(0.0, 1.0, (3, 6, 4)))
-        losses, grad = compute_loss(acts, y, spec, mask)
-        targets = loss_targets(np.stack([y, y]), spec, 3, np.stack([mask, mask]))
+        y = rng.integers(0, 3, (2, 3, 6))
+        mask = np.arange(6) < rng.integers(0, 7, (2, 3, 1))
+        mask[1, 2] = False  # a client with no rows at step 1
+        x = rng.normal(0.0, 1.0, (2, 3, 6, 4))
+        targets = loss_targets(y, spec, 3, mask)
+        losses = []
         for step in range(2):
-            loss, step_grad = compute_loss(acts, targets[step], spec)
-            assert loss is None and np.array_equal(step_grad, grad)
-            assert np.array_equal(targets.loss()[step], losses)
-        with pytest.raises(ValueError):
-            compute_loss(acts, targets[0], LossSpec(kind="focal"))
-        with pytest.raises(ValueError):
-            compute_loss(acts, targets[0], spec, mask)
+            acts = forward(stacked, x[step])
+            alone = loss_targets(y[step], spec, 3, mask[step])
+            assert np.array_equal(compute_loss(acts, targets[step]), compute_loss(acts, alone))
+            losses.append(alone.loss())
+        assert np.array_equal(targets.loss(), np.stack(losses))
 
     def test_batch_must_carry_the_client_axis(self):
         stacked = stack([mlp_init([4, 8, 3], seed=s) for s in range(2)])
@@ -361,10 +379,8 @@ class TestClientAxis:
             forward(stacked, np.zeros((3, 5, 4)))
 
     def test_mask_shape_checked(self):
-        model = mlp_init([4, 8, 3], seed=0)
-        acts = forward(model, np.zeros((2, 4)))
         with pytest.raises(ValueError):
-            compute_loss(acts, np.array([0, 1]), LossSpec(), np.ones(3, dtype=bool))
+            loss_targets(np.array([0, 1]), LossSpec(), 3, np.ones(3, dtype=bool))
 
     @pytest.mark.parametrize("momentum", [0.0, 0.9])
     def test_masked_step_leaves_client_exactly_unchanged(self, momentum):
@@ -372,8 +388,8 @@ class TestClientAxis:
         opt = OptState.for_model(stacked, lr=0.1, momentum=momentum)
         rng = np.random.default_rng(3)
         opt.velocity[:] = rng.normal(0.0, 1.0, opt.velocity.shape)
-        grads = Gradients(stacked.layer_sizes, rng.normal(0.0, 1.0, stacked.params.shape))
-        grads.flat[1] = np.nan  # whatever the frozen client's gradient holds
+        grads = rng.normal(0.0, 1.0, stacked.params.shape)
+        grads[1] = np.nan  # whatever the frozen client's gradient holds
         before = stacked.copy()
         velocity = opt.velocity.copy()
         sgd_step(stacked, grads, opt, np.array([True, False]))

@@ -84,16 +84,6 @@ def test_estimate_counts_matches_per_class_loop(q):
     assert all(seen[k] > 0 for k in kinds), seen
 
 
-def test_estimate_counts_takes_a_list_of_class_updates():
-    rng = np.random.default_rng(11)
-    aux, w_prev, w_new, total = random_case(rng, 5, 9)
-    as_list = AuxGradients(per_class=list(aux.per_class), n_aux=aux.n_aux)
-    assert_estimates_equal(
-        estimate_counts(as_list, w_prev, w_new, total, 3),
-        reference_estimate_counts(as_list, w_prev, w_new, total, 3),
-    )
-
-
 @pytest.mark.parametrize("seed", range(4))
 def test_evaluate_matches_softmax_argmax(seed):
     rng = np.random.default_rng(seed)
