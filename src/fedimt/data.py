@@ -10,7 +10,8 @@ from __future__ import annotations
 import struct
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, repeat
+from operator import truediv
 
 import numpy as np
 
@@ -145,13 +146,14 @@ def _bursty_order(labels: Array, run_length: int, rng: np.random.Generator) -> A
         rng.shuffle(pool)
     taken = [0] * len(pools)
     remaining = [len(p) for p in pools]
+    stop_p = 1.0 / run_length
     order = np.empty(n, dtype=int)
     pos = 0
     while pos < n:
         total = n - pos  # == sum(remaining), exactly
-        cdf = list(accumulate(r / total for r in remaining))
-        q = bisect_right(cdf, rng.random(), key=lambda c: c / cdf[-1])
-        run = min(int(rng.geometric(1.0 / run_length)), remaining[q])
+        cdf = list(accumulate(map(truediv, remaining, repeat(total))))
+        q = bisect_right(cdf, rng.random(), key=cdf[-1].__rtruediv__)  # c / cdf[-1]
+        run = min(int(rng.geometric(stop_p)), remaining[q])
         order[pos : pos + run] = pools[q][taken[q] : taken[q] + run]
         taken[q] += run
         remaining[q] -= run
@@ -165,7 +167,11 @@ def gen_synthetic(spec: SyntheticSpec, seed: int) -> Dataset:
     rng = np.random.default_rng(seed)
     labels = np.repeat(np.arange(spec.num_classes), spec.counts)
     features = rng.normal(0.0, spec.cluster_scale, (len(labels), spec.feature_dim))
-    features += spec.means[labels]
+    # labels holds each class in one block, so each mean is added in place to
+    # its own rows; means[labels] would gather a features-sized temporary.
+    ends = np.cumsum(spec.counts)
+    for mean, start, end in zip(spec.means, ends - spec.counts, ends):
+        features[start:end] += mean
     order = _bursty_order(labels, spec.run_length, rng)
     return Dataset(
         features=features,
@@ -235,38 +241,52 @@ def shard_partition(
     """Label-sort, cut into equal shards, deal shards_per_client to each client.
 
     A partition: clients are disjoint and their union is the dataset. Each
-    client keeps the global arrival order restricted to its own samples.
+    client keeps the global arrival order restricted to its own samples, and
+    its arrays are slices (views) of one client-ordered copy of the dataset.
     """
     n = len(dataset)
     n_shards = num_clients * shards_per_client
     if n < n_shards:
         raise ValueError(f"{n} samples cannot form {n_shards} shards")
-    by_label = np.argsort(dataset.labels, kind="stable")
-    shards = np.array_split(by_label, n_shards)
+    # np.array_split's shard sizes: the first n % n_shards hold one more.
+    base, extra = divmod(n, n_shards)
+    shard_sizes = np.full(n_shards, base)
+    shard_sizes[:extra] += 1
     perm = np.random.default_rng(seed).permutation(n_shards)
+    # Shard perm[k] goes to client k // shards_per_client. Client ids take
+    # the smallest unsigned type that holds them, so that numpy's stable
+    # sorts below are radix sorts.
+    shard_owner = np.empty(n_shards, dtype=np.min_scalar_type(num_clients - 1))
+    shard_owner[perm] = np.arange(n_shards) // shards_per_client
+    owner = np.empty(n, dtype=shard_owner.dtype)
+    owner[np.argsort(dataset.labels, kind="stable")] = np.repeat(shard_owner, shard_sizes)
 
-    arrival_rank = np.empty(n, dtype=int)
-    arrival_rank[dataset.time_order] = np.arange(n)
+    # Stable, so each client's samples keep their index order.
+    by_owner = np.argsort(owner, kind="stable")
+    owner = owner[by_owner]
+    features = dataset.features[by_owner]
+    labels = dataset.labels[by_owner]
+    sizes = np.bincount(owner, minlength=num_clients)
+    starts = np.cumsum(sizes) - sizes
+    # Client-ordered positions in arrival order, then grouped by client
+    # (stable, so each client's stay in arrival order) and made local.
+    position = np.empty(n, dtype=int)
+    position[by_owner] = np.arange(n)
+    by_arrival = position[dataset.time_order]
+    time_order = by_arrival[np.argsort(owner[by_arrival], kind="stable")] - starts[owner]
 
-    clients = []
-    for cid in range(num_clients):
-        mine = np.concatenate(
-            [shards[perm[cid * shards_per_client + j]] for j in range(shards_per_client)]
+    return [
+        ClientDataset(
+            client_id=cid,
+            dataset=Dataset(
+                features=features[a:b],
+                labels=labels[a:b],
+                num_classes=dataset.num_classes,
+                time_order=time_order[a:b],
+            ),
         )
-        mine = np.sort(mine)
-        local_order = np.argsort(arrival_rank[mine], kind="stable")
-        clients.append(
-            ClientDataset(
-                client_id=cid,
-                dataset=Dataset(
-                    features=dataset.features[mine].copy(),
-                    labels=dataset.labels[mine].copy(),
-                    num_classes=dataset.num_classes,
-                    time_order=local_order,
-                ),
-            )
-        )
-    return clients
+        for cid, (a, b) in enumerate(zip(starts, starts + sizes))
+    ]
 
 
 def _window_span(sizes, n_latest: int, round_index: int):
@@ -331,7 +351,7 @@ def sample_auxiliary(dataset: Dataset, per_class_count: int, seed: int) -> Auxil
         if len(pool) == 0:
             raise ValueError(f"class {q} has no source samples for the auxiliary set")
         pick = rng.choice(pool, size=per_class_count, replace=True)
-        groups.append(dataset.features[pick].copy())
+        groups.append(dataset.features[pick])
     return AuxiliarySet(class_features=groups)
 
 
@@ -344,7 +364,7 @@ def auxiliary_from_dataset(dataset: Dataset) -> AuxiliarySet:
         feats = dataset.features[dataset.labels == q]
         if len(feats) == 0:
             raise ValueError(f"external auxiliary data has no samples for class {q}")
-        groups.append(feats.copy())
+        groups.append(feats)
     return AuxiliarySet(class_features=groups)
 
 

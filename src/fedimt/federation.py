@@ -453,7 +453,11 @@ def _build_datasets(config: "ExperimentConfig", seed) -> tuple[Dataset, Dataset]
     test_counts = np.where(
         spec.counts > 0, np.maximum(np.rint(spec.counts * config.test_fraction), 1), 0
     ).astype(int)
-    test = gen_synthetic(replace(spec, counts=test_counts), derive_seed(seed, _STREAM_TEST_DATA))
+    # Nothing reads the test split's time_order, and gen_synthetic draws the
+    # order after the features from the same stream, so run_length = 1 skips
+    # the burst loop and leaves the features and labels as they are.
+    test_spec = replace(spec, counts=test_counts, run_length=1)
+    test = gen_synthetic(test_spec, derive_seed(seed, _STREAM_TEST_DATA))
     return train, test
 
 

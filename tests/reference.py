@@ -11,7 +11,7 @@ layer_views cuts from the flat gradient buffer.
 
 import numpy as np
 
-from fedimt.data import Dataset, window_latest
+from fedimt.data import ClientDataset, Dataset, window_latest
 from fedimt.estimator import CountEstimate, EstimatorParams, oracle_counts
 from fedimt.federation import ClientUpdate
 from fedimt.metrics import EvalResult
@@ -67,6 +67,44 @@ def reference_gen_synthetic(spec, seed):
         num_classes=spec.num_classes,
         time_order=order,
     )
+
+
+def reference_shard_partition(dataset, num_clients, shards_per_client, seed):
+    """Label-sort, cut into equal shards, deal shards_per_client to each client.
+
+    A partition: clients are disjoint and their union is the dataset. Each
+    client keeps the global arrival order restricted to its own samples.
+    """
+    n = len(dataset)
+    n_shards = num_clients * shards_per_client
+    if n < n_shards:
+        raise ValueError(f"{n} samples cannot form {n_shards} shards")
+    by_label = np.argsort(dataset.labels, kind="stable")
+    shards = np.array_split(by_label, n_shards)
+    perm = np.random.default_rng(seed).permutation(n_shards)
+
+    arrival_rank = np.empty(n, dtype=int)
+    arrival_rank[dataset.time_order] = np.arange(n)
+
+    clients = []
+    for cid in range(num_clients):
+        mine = np.concatenate(
+            [shards[perm[cid * shards_per_client + j]] for j in range(shards_per_client)]
+        )
+        mine = np.sort(mine)
+        local_order = np.argsort(arrival_rank[mine], kind="stable")
+        clients.append(
+            ClientDataset(
+                client_id=cid,
+                dataset=Dataset(
+                    features=dataset.features[mine].copy(),
+                    labels=dataset.labels[mine].copy(),
+                    num_classes=dataset.num_classes,
+                    time_order=local_order,
+                ),
+            )
+        )
+    return clients
 
 
 def reference_local_update(client_id, features, labels, global_model, config, loss_spec, seed):

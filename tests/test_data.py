@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +18,7 @@ from fedimt.data import (
     write_idx,
 )
 from conftest import make_client, make_dataset
-from reference import reference_bursty_order, reference_gen_synthetic
+from reference import reference_bursty_order, reference_gen_synthetic, reference_shard_partition
 
 # The generator parameters of fedbench's manyclass_server workload.
 MANYCLASS = dict(
@@ -122,6 +124,16 @@ class TestGeneratorMatchesReference:
             a, b = getattr(got, name), getattr(want, name)
             assert np.array_equal(a, b) and a.dtype == b.dtype, name
 
+    def test_gen_synthetic_adds_means_without_a_features_sized_temporary(self):
+        spec = make_synthetic_spec(40, 64, [300] * 40, seed=0)
+        tracemalloc.start()
+        try:
+            ds = gen_synthetic(spec, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * ds.features.nbytes
+
 
 class TestIdx:
     def test_round_trip_exact(self, tmp_path):
@@ -208,6 +220,36 @@ class TestShardPartition:
         ds = self.make_ds()
         for c in shard_partition(ds, 6, 2, seed=5):
             c.dataset.validate()
+
+    # Sizes that array_split cuts unevenly, one or many samples per shard,
+    # and a single client; arrivals in a random order so that index order
+    # and arrival order differ.
+    @given(
+        st.integers(1, 8),
+        st.integers(1, 4),
+        st.integers(1, 4),
+        st.integers(0, 200),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_per_client_loop(self, num_clients, shards_per_client, classes, extra, seed):
+        n = num_clients * shards_per_client + extra
+        rng = np.random.default_rng(seed)
+        ds = Dataset(
+            features=rng.normal(size=(n, 2)),
+            labels=rng.integers(0, classes, n),
+            num_classes=classes,
+            time_order=rng.permutation(n),
+        )
+        got = shard_partition(ds, num_clients, shards_per_client, seed)
+        want = reference_shard_partition(ds, num_clients, shards_per_client, seed)
+        assert len(got) == len(want) == num_clients
+        for g, w in zip(got, want):
+            assert g.client_id == w.client_id
+            assert g.dataset.num_classes == w.dataset.num_classes
+            for name in ("features", "labels", "time_order"):
+                a, b = getattr(g.dataset, name), getattr(w.dataset, name)
+                assert np.array_equal(a, b) and a.dtype == b.dtype, (g.client_id, name)
 
 
 class TestWindowLatest:

@@ -1,10 +1,17 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from fedimt.data import gen_synthetic, make_synthetic_spec
 from fedimt.federation import (
+    _STREAM_MEANS,
+    _STREAM_TEST_DATA,
     FlConfig,
+    _build_datasets,
     aggregate,
     build_runner,
+    derive_seed,
     local_update,
     run_experiment,
     select_clients,
@@ -317,6 +324,23 @@ class TestRunner:
         runner = build_runner(tiny_config, seed=0)
         assert runner.aux.num_classes == params["classes"]
         np.testing.assert_array_equal(runner.aux.per_class_count, [6] * params["classes"])
+
+
+class TestBuildDatasets:
+    def test_test_split_ignores_run_length(self):
+        """The test split is drawn without a burst order; its features and
+        labels are those of the same spec with its own run_length."""
+        config = synthetic_exp_config()
+        spec = make_synthetic_spec(**config.synthetic, seed=derive_seed(3, _STREAM_MEANS))
+        assert spec.run_length > 1
+        _, test = _build_datasets(config, 3)
+        test_counts = np.bincount(test.labels, minlength=spec.num_classes)
+        np.testing.assert_array_equal(test_counts, [25, 15, 10, 20])
+        want = gen_synthetic(
+            replace(spec, counts=test_counts), derive_seed(3, _STREAM_TEST_DATA)
+        )
+        np.testing.assert_array_equal(test.features, want.features)
+        np.testing.assert_array_equal(test.labels, want.labels)
 
 
 class TestConfigValidation:
