@@ -80,6 +80,16 @@ class TestGenSynthetic:
         with pytest.raises(ValueError, match="class_counts has 2 entries for 3 classes"):
             gen_synthetic(spec, 0)
 
+    def test_adds_means_without_a_features_sized_temporary(self):
+        spec = make_synthetic_spec(40, 64, [300] * 40, seed=0)
+        tracemalloc.start()
+        try:
+            ds = gen_synthetic(spec, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * ds.features.nbytes
+
     def test_presets_have_generator_params(self):
         for name, params in PRESETS.items():
             assert len(params["class_counts"]) == params["classes"], name
@@ -123,16 +133,6 @@ class TestGeneratorMatchesReference:
         for name in ("features", "labels", "time_order"):
             a, b = getattr(got, name), getattr(want, name)
             assert np.array_equal(a, b) and a.dtype == b.dtype, name
-
-    def test_gen_synthetic_adds_means_without_a_features_sized_temporary(self):
-        spec = make_synthetic_spec(40, 64, [300] * 40, seed=0)
-        tracemalloc.start()
-        try:
-            ds = gen_synthetic(spec, seed=1)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.25 * ds.features.nbytes
 
 
 class TestIdx:
