@@ -11,7 +11,6 @@ from .data import (
     ClientDataset,
     Dataset,
     SyntheticSpec,
-    TrainingSlice,
     auxiliary_from_dataset,
     gen_synthetic,
     load_idx,

@@ -56,14 +56,6 @@ class ClientDataset:
 
 
 @dataclass
-class TrainingSlice:
-    """View over the most recently arrived samples of one client."""
-
-    features: Array
-    labels: Array
-
-
-@dataclass
 class AuxiliarySet:
     """Per-class probe samples held by the server; never used for training."""
 
@@ -305,14 +297,14 @@ def _window_span(sizes, n_latest: int, round_index: int):
     return cursor - width, width
 
 
-def window_latest(client: ClientDataset, n_latest: int, round_index: int) -> TrainingSlice:
+def window_latest(client: ClientDataset, n_latest: int, round_index: int) -> Dataset:
     """The client's most recent n_latest samples as of a round (the
-    positions follow _window_span)."""
+    positions follow _window_span), in arrival order."""
     ds = client.dataset
     n = len(ds)
     start, width = _window_span(n, n_latest, round_index)
     idx = ds.time_order[np.arange(start, start + width) % n]
-    return TrainingSlice(features=ds.features[idx], labels=ds.labels[idx])
+    return Dataset(ds.features[idx], ds.labels[idx], ds.num_classes, np.arange(width))
 
 
 @dataclass

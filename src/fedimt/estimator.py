@@ -24,10 +24,13 @@ from .nn import Array, MlpModel, forward
 
 logger = logging.getLogger(__name__)
 
+# A probe update or denominator no larger than this in magnitude counts as zero.
+DENOM_EPSILON = 1e-12
+
 
 @dataclass
 class EstimatorParams:
-    """Numerical guards and the unit-calibration constant.
+    """The unit-calibration constant.
 
     scale_cal multiplies the probe updates; 1.0 is exact for single-client,
     single-batch, momentum-0 rounds (the calibration oracle). It sets the
@@ -36,13 +39,9 @@ class EstimatorParams:
     stays frozen at 1.0.
     """
 
-    denom_epsilon: float = 1e-12
-    confidence_floor: float = 0.0
     scale_cal: float = 1.0
 
     def validate(self) -> None:
-        if self.denom_epsilon <= 0.0:
-            raise ValueError("denom_epsilon must be > 0")
         if not self.scale_cal > 0.0:
             raise ValueError("scale_cal must be > 0")
 
@@ -85,6 +84,7 @@ def probe_auxiliary(
     averaged) so the class's auxiliary count stays in the update's units.
     """
     params = params or EstimatorParams()
+    params.validate()
     q_total = prev_model.num_classes
     if aux.num_classes != q_total:
         raise ValueError(
@@ -111,7 +111,6 @@ def estimate_counts(
     w_new: Array,
     total_samples: float,
     num_selected: int,
-    params: EstimatorParams | None = None,
 ) -> CountEstimate:
     """Solve the per-node linear equations and combine with confidence weights.
 
@@ -128,8 +127,6 @@ def estimate_counts(
     the result is clamped into [0, total_samples]; a class with no surviving
     node falls back to total/Q.
     """
-    params = params or EstimatorParams()
-    params.validate()
     if total_samples <= 0:
         raise ValueError("total_samples must be > 0")
     per_class = aux_grads.per_class  # (Q, s, Q)
@@ -145,12 +142,12 @@ def estimate_counts(
     # other == 0 with own != 0 means no competing class touches this
     # weight: the equation collapses to own * x = rhs and the node is
     # maximally confident rather than skippable.
-    live = np.abs(other) > params.denom_epsilon
+    live = np.abs(other) > DENOM_EPSILON
     conf = np.divide(-own, other, out=np.zeros((q_total, s)), where=live)
-    conf[~live & (np.abs(own) > params.denom_epsilon)] = np.inf
+    conf[~live & (np.abs(own) > DENOM_EPSILON)] = np.inf
 
     denom = own - other
-    ok = (np.abs(denom) > params.denom_epsilon) & (conf > params.confidence_floor)
+    ok = (np.abs(denom) > DENOM_EPSILON) & (conf > 0.0)
     rhs = (aux_grads.n_aux * num_selected)[:, None] * (w_new - w_prev).T
     estimates = np.where(ok, (rhs - other * total_samples) / np.where(ok, denom, 1.0), np.nan)
     used = ok.sum(axis=1)

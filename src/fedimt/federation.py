@@ -28,7 +28,6 @@ from .data import (
     ClientDataset,
     Dataset,
     LabelStreams,
-    TrainingSlice,
     auxiliary_from_dataset,
     gen_synthetic,
     load_idx,
@@ -68,10 +67,9 @@ _STREAM_SELECT = 17
 _STREAM_CLIENT = 18
 
 
-def derive_seed(seed, *tags: int) -> tuple[int, ...]:
+def derive_seed(seed: int, *tags: int) -> tuple[int, ...]:
     """Flat integer tuple usable as a numpy SeedSequence entropy."""
-    base = tuple(seed) if isinstance(seed, (tuple, list)) else (int(seed),)
-    return base + tags
+    return (int(seed), *tags)
 
 
 @dataclass
@@ -144,7 +142,7 @@ class ClientUpdate:
     train_loss: float
 
 
-def select_clients(num_clients: int, rate: float, round_index: int, seed) -> list[int]:
+def select_clients(num_clients: int, rate: float, round_index: int, seed: int) -> list[int]:
     """Uniform without-replacement sample of round(rate * num_clients) ids,
     deterministic per (seed, round), returned in ascending order."""
     k = int(round(rate * num_clients))
@@ -281,7 +279,7 @@ class FederatedRunner:
     config: FlConfig
     clients: list[ClientDataset]
     model: MlpModel
-    seed: int | tuple
+    seed: int
     aux: AuxiliarySet | None = None
     estimator_params: EstimatorParams = field(default_factory=EstimatorParams)
     test_features: Array | None = None
@@ -332,10 +330,10 @@ class FederatedRunner:
             class_weights=balanced_weights(self.observer.ratio, self._n_ref, self.config.beta),
         )
 
-    def _client_scope(self, client: ClientDataset, round_index: int) -> TrainingSlice:
+    def _client_scope(self, client: ClientDataset, round_index: int) -> Dataset:
         if self.config.n_latest is not None:
             return window_latest(client, self.config.n_latest, round_index)
-        return TrainingSlice(features=client.dataset.features, labels=client.dataset.labels)
+        return client.dataset
 
     def _global_truth(self, round_index: int) -> Array:
         """Class counts over every client's in-scope samples at a round."""
@@ -360,7 +358,6 @@ class FederatedRunner:
             w_new=candidate.weights[-1],
             total_samples=total,
             num_selected=num_selected,
-            params=self.estimator_params,
         )
         return estimate.counts, counts_to_ratio(estimate.counts)
 
@@ -440,7 +437,7 @@ def minority_classes_of(train_counts: Array) -> Array:
     return np.flatnonzero(counts < counts.mean())
 
 
-def _build_datasets(config: "ExperimentConfig", seed) -> tuple[Dataset, Dataset]:
+def _build_datasets(config: "ExperimentConfig", seed: int) -> tuple[Dataset, Dataset]:
     if config.data_source == "idx":
         train = load_idx(config.idx_images, config.idx_labels)
         test = load_idx(config.idx_test_images, config.idx_test_labels)
@@ -461,7 +458,7 @@ def _build_datasets(config: "ExperimentConfig", seed) -> tuple[Dataset, Dataset]
     return train, test
 
 
-def build_runner(config: "ExperimentConfig", seed) -> FederatedRunner:
+def build_runner(config: "ExperimentConfig", seed: int) -> FederatedRunner:
     train, test = _build_datasets(config, seed)
     clients = shard_partition(
         train,

@@ -70,16 +70,23 @@ class MlpModel:
 
 @dataclass
 class Activations:
-    """Forward-pass record: hidden_outputs feeds the final linear layer.
+    """Forward-pass record: outputs[0] is the input batch and outputs[i + 1]
+    is layer i's output, so outputs[i] feeds layer i.
 
     probabilities is the softmax of the logits, computed on first use, so a
     caller that needs only the logits (an argmax) never pays for it.
     """
 
-    inputs: Array
-    layer_outputs: list[Array]
-    hidden_outputs: Array
-    logits: Array
+    outputs: list[Array]
+
+    @property
+    def hidden_outputs(self) -> Array:
+        """The final linear layer's input."""
+        return self.outputs[-2]
+
+    @property
+    def logits(self) -> Array:
+        return self.outputs[-1]
 
     @cached_property
     def probabilities(self) -> Array:
@@ -177,23 +184,15 @@ def forward(model: MlpModel, batch: Array) -> Activations:
         raise ValueError(
             f"batch shape {batch.shape} does not match first-layer weights {w0.shape}"
         )
-    outputs = []
-    h = batch
+    outputs = [batch]
     last = len(model.weights) - 1
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        h = h @ w
+        h = outputs[-1] @ w
         h += b[..., None, :]
         if i < last:
             np.maximum(h, 0.0, out=h)
         outputs.append(h)
-    logits = outputs[-1]
-    hidden = outputs[-2] if len(outputs) >= 2 else batch
-    return Activations(
-        inputs=batch,
-        layer_outputs=outputs,
-        hidden_outputs=hidden,
-        logits=logits,
-    )
+    return Activations(outputs)
 
 
 def effective_number_weight(n: Array | float, beta: float) -> Array:
@@ -309,12 +308,11 @@ def backward(model: MlpModel, acts: Activations, grad_logits: Array) -> Array:
     weight_grads, bias_grads = layer_views(model.layer_sizes, grads)
     g = grad_logits
     for i in range(len(model.weights) - 1, -1, -1):
-        layer_in = acts.layer_outputs[i - 1] if i > 0 else acts.inputs
-        np.matmul(layer_in.swapaxes(-1, -2), g, out=weight_grads[i])
+        np.matmul(acts.outputs[i].swapaxes(-1, -2), g, out=weight_grads[i])
         np.add.reduce(g, axis=-2, out=bias_grads[i])
         if i > 0:
             g = g @ model.weights[i].swapaxes(-1, -2)
-            g *= acts.layer_outputs[i - 1] > 0.0
+            g *= acts.outputs[i] > 0.0
     return grads
 
 

@@ -12,7 +12,7 @@ layer_views cuts from the flat gradient buffer.
 import numpy as np
 
 from fedimt.data import ClientDataset, Dataset, window_latest
-from fedimt.estimator import CountEstimate, EstimatorParams, oracle_counts
+from fedimt.estimator import CountEstimate, oracle_counts
 from fedimt.federation import ClientUpdate
 from fedimt.metrics import EvalResult
 from fedimt.nn import (
@@ -258,8 +258,7 @@ def reference_aggregate(updates, global_model, strategy):
     return weights, biases
 
 
-def reference_estimate_counts(aux_grads, w_prev, w_new, total_samples, num_selected, params=None):
-    params = params or EstimatorParams()
+def reference_estimate_counts(aux_grads, w_prev, w_new, total_samples, num_selected):
     q_total = len(aux_grads.per_class)
     s = w_prev.shape[0]
     delta = w_new - w_prev
@@ -280,13 +279,13 @@ def reference_estimate_counts(aux_grads, w_prev, w_new, total_samples, num_selec
             other = (sum_aux[:, p] - own) / (q_total - 1)
         else:
             other = np.zeros(s)
-        live = np.abs(other) > params.denom_epsilon
+        live = np.abs(other) > 1e-12
         conf = np.divide(-own, other, out=np.zeros(s), where=live)
-        conf[~live & (np.abs(own) > params.denom_epsilon)] = np.inf
+        conf[~live & (np.abs(own) > 1e-12)] = np.inf
         node_confidences[p] = conf
 
         denom = own - other
-        ok = (np.abs(denom) > params.denom_epsilon) & (conf > params.confidence_floor)
+        ok = (np.abs(denom) > 1e-12) & (conf > 0.0)
         rhs = aux_grads.n_aux[p] * num_selected * delta[:, p]
         estimates = np.where(ok, (rhs - other * total_samples) / np.where(ok, denom, 1.0), np.nan)
         node_estimates[p] = estimates
@@ -315,23 +314,15 @@ def reference_estimate_counts(aux_grads, w_prev, w_new, total_samples, num_selec
 
 def reference_evaluate(model, features, labels, minority_classes=None):
     labels = np.asarray(labels, dtype=int)
-    q = model.num_classes
     pred = forward(model, features).probabilities.argmax(axis=1)
-    confusion = np.zeros((q, q), dtype=int)
-    np.add.at(confusion, (labels, pred), 1)
-    row_totals = confusion.sum(axis=1)
-    with np.errstate(invalid="ignore"):
-        per_class = np.where(row_totals > 0, np.diag(confusion) / row_totals, np.nan)
     minority_accuracy = None
     if minority_classes is not None and len(minority_classes) > 0:
         mask = np.isin(labels, minority_classes)
         if mask.any():
             minority_accuracy = float((pred[mask] == labels[mask]).mean())
     return EvalResult(
-        accuracy=float(np.trace(confusion) / len(labels)),
-        per_class_accuracy=per_class,
+        accuracy=float(np.mean(pred == labels)),
         minority_accuracy=minority_accuracy,
-        confusion=confusion,
     )
 
 

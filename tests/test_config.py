@@ -1,6 +1,9 @@
+import re
+from pathlib import Path
+
 import pytest
 
-from fedimt.config import ConfigError, parse_config
+from fedimt.config import SCHEMA, ConfigError, parse_config
 
 
 MINIMAL = """\
@@ -92,8 +95,6 @@ class TestSurface:
             "aux_per_class": 128,
             "test_fraction": 0.2,
             "hidden_sizes": [32],
-            "denom_epsilon": 1e-12,
-            "confidence_floor": 0.0,
             "scale_cal": 1.0,
             "skip_eval": False,
         }
@@ -110,10 +111,27 @@ FLOAT_KEYS = (
     "beta",
     "focal_gamma",
     "test_fraction",
-    "denom_epsilon",
-    "confidence_floor",
     "scale_cal",
 )
+
+
+def readme_config_section() -> str:
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    return text.split("\n## Config files\n", 1)[1].split("\n## ", 1)[0]
+
+
+class TestReadmeMatchesSchema:
+    def test_every_key_is_documented(self):
+        named = {
+            re.match(r"\w*", span).group()
+            for span in re.findall(r"`([^`]+)`", readme_config_section())
+        }
+        assert set(SCHEMA) - named == set()
+
+    def test_every_documented_default_names_a_key(self):
+        pairs = set(re.findall(r"`(\w+) = [^`]*`", readme_config_section()))
+        # `key = value` is the format example, not a key.
+        assert pairs - {"key"} - set(SCHEMA) == set()
 
 
 class TestStrictness:

@@ -109,6 +109,16 @@ class TestProbeAuxiliary:
         for ga, gb in zip(a.per_class, b.per_class):
             np.testing.assert_allclose(gb, ga * (0.02 * 3 / 8) / (0.01 * 1 / 4), rtol=1e-12)
 
+    @pytest.mark.parametrize("scale_cal", [0.0, -1.0])
+    def test_non_positive_scale_cal_rejected(self, scale_cal):
+        # A negative scale_cal would flip the sign of every probe update.
+        model, aux = self.make_probe_setup()
+        with pytest.raises(ValueError, match="scale_cal must be > 0"):
+            probe_auxiliary(
+                model, aux, lr=0.1, local_epochs=1, batch_size=4,
+                params=EstimatorParams(scale_cal=scale_cal),
+            )
+
 
 class TestEstimateCounts:
     def test_zero_delta_zero_other_gives_zero_count(self):
@@ -291,7 +301,7 @@ class TestEstimatorProperties:
         for factor in (1.0, scale_cal):
             params = EstimatorParams(scale_cal=factor)
             grads = probe_auxiliary(model, aux, lr=1.0, local_epochs=1, batch_size=1, params=params)
-            estimate = estimate_counts(grads, np.zeros((s, q)), factor * delta, 300.0, 3, params)
+            estimate = estimate_counts(grads, np.zeros((s, q)), factor * delta, 300.0, 3)
             ratios.append(counts_to_ratio(estimate.counts))
         np.testing.assert_allclose(ratios[1], ratios[0], rtol=1e-7, atol=1e-12)
 

@@ -41,7 +41,6 @@ class TestEvaluate:
         result = evaluate(identity_predictor(q), feats, labels, minority_classes=np.array([1]))
         assert result.accuracy == 1.0
         assert result.minority_accuracy == 1.0
-        np.testing.assert_allclose(result.per_class_accuracy, 1.0)
 
     def test_majority_predictor_on_imbalanced_data(self):
         rng = np.random.default_rng(0)
@@ -53,16 +52,6 @@ class TestEvaluate:
         assert result.accuracy == pytest.approx(1.0 - labels.mean())
         assert result.minority_accuracy == 0.0
 
-    def test_confusion_rows_match_class_counts(self):
-        rng = np.random.default_rng(1)
-        labels = rng.integers(0, 3, 60)
-        feats = rng.normal(0, 1, (60, 4))
-        model = mlp_init([4, 6, 3], seed=2)
-        result = evaluate(model, feats, labels)
-        np.testing.assert_array_equal(
-            result.confusion.sum(axis=1), np.bincount(labels, minlength=3)
-        )
-
     def test_no_minority_classes_gives_none(self):
         labels = np.array([0, 1, 0, 1])
         feats = np.zeros((4, 2))
@@ -73,6 +62,12 @@ class TestEvaluate:
         model = constant_predictor(2, 2, winner=0)
         with pytest.raises(ValueError):
             evaluate(model, np.zeros((0, 2)), np.zeros(0, dtype=int))
+
+    def test_row_count_mismatch_rejected(self):
+        # One prediction would otherwise broadcast against all five labels.
+        model = mlp_init([3, 4, 2], seed=0)
+        with pytest.raises(ValueError, match="1 feature rows for 5 labels"):
+            evaluate(model, np.zeros((1, 3)), np.array([0, 1, 0, 0, 1]))
 
 
 class TestWriteMetrics:
