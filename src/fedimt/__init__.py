@@ -23,7 +23,6 @@ from .data import (
 from .estimator import (
     AuxGradients,
     CountEstimate,
-    EstimatorParams,
     counts_to_ratio,
     estimate_counts,
     oracle_counts,

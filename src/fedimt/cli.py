@@ -165,7 +165,7 @@ def cli_main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ConfigError, OSError, ValueError) as exc:
+    except (ConfigError, OSError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

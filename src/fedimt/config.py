@@ -2,9 +2,9 @@
 
 One `key = value` pair per line, `#` comments. Unknown keys, duplicate keys,
 and type errors are rejected with the offending line. Each key's type and
-default are declared once, as a field of FlConfig, EstimatorParams or
-ExperimentConfig, as a parameter of make_synthetic_spec (the generator keys)
-or in _DATA_SOURCE_KEYS, and SCHEMA is derived from them.
+default are declared once, as a field of FlConfig or ExperimentConfig, as a
+parameter of make_synthetic_spec (the generator keys) or in _DATA_SOURCE_KEYS,
+and SCHEMA is derived from them.
 Exactly one data source (synthetic generator or IDX files) must be
 configured, and referenced files must exist at parse time.
 """
@@ -14,11 +14,10 @@ from __future__ import annotations
 import inspect
 import math
 import os
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 from typing import get_args, get_origin, get_type_hints
 
 from .data import PRESETS, make_synthetic_spec
-from .estimator import EstimatorParams
 from .federation import FlConfig
 
 
@@ -65,7 +64,7 @@ _GENERATOR_KEYS = {
 }
 _IDX_KEYS = ("idx_images", "idx_labels", "idx_test_images", "idx_test_labels")
 # ExperimentConfig fields that no config key fills by name.
-_NOT_KEYS = ("fl", "data_source", "synthetic", "estimator", "skip_eval")
+_NOT_KEYS = ("fl", "data_source", "synthetic", "skip_eval")
 
 
 @dataclass
@@ -87,7 +86,6 @@ class ExperimentConfig:
     aux_per_class: int | None = None  # None: 4 * fl.batch_size
     test_fraction: float = 0.2
     hidden_sizes: tuple[int, ...] = (32,)
-    estimator: EstimatorParams = field(default_factory=EstimatorParams)
     skip_eval: bool = False  # set by `fedimt estimate-only`, not by a config key
 
     def __post_init__(self) -> None:
@@ -96,7 +94,6 @@ class ExperimentConfig:
 
     def validate(self) -> None:  # the generator keys' rules are SyntheticSpec.validate's
         self.fl.validate()
-        self.estimator.validate()
         if self.data_source not in ("synthetic", "idx"):
             raise ConfigError(f"data must be 'synthetic' or 'idx', got {self.data_source!r}")
         if self.data_source == "synthetic" and self.synthetic is None:
@@ -117,7 +114,6 @@ class ExperimentConfig:
         synthetic or the idx keys as the data source has them, and skip_eval."""
         out = asdict(self)
         out.update(out.pop("fl"))
-        out.update(out.pop("estimator"))
         out["data"] = out.pop("data_source")
         out["hidden_sizes"] = list(self.hidden_sizes)
         synthetic = out.pop("synthetic")
@@ -138,7 +134,7 @@ def _declared_keys(cls) -> dict[str, tuple]:
 
 
 # Each config dataclass's keys: name -> (type hint, default).
-_DECLARED = {cls: _declared_keys(cls) for cls in (FlConfig, ExperimentConfig, EstimatorParams)}
+_DECLARED = {cls: _declared_keys(cls) for cls in (FlConfig, ExperimentConfig)}
 # key -> (parser, default), in the order parse_config reports errors.
 SCHEMA: dict[str, tuple] = {
     key: (_parser_for(hint), default)
@@ -219,7 +215,6 @@ def parse_config(path: str) -> ExperimentConfig:
     config = build(
         ExperimentConfig,
         fl=build(FlConfig),
-        estimator=build(EstimatorParams),
         data_source=values["data"],
         synthetic=synthetic,
     )

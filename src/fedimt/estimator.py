@@ -29,31 +29,13 @@ DENOM_EPSILON = 1e-12
 
 
 @dataclass
-class EstimatorParams:
-    """The unit-calibration constant.
-
-    scale_cal multiplies the probe updates; 1.0 is exact for single-client,
-    single-batch, momentum-0 rounds (the calibration oracle). It sets the
-    probe's unit against the observed update: scaling both by one factor
-    leaves the ratio unchanged, but scaling the probe alone moves it, so it
-    stays frozen at 1.0.
-    """
-
-    scale_cal: float = 1.0
-
-    def validate(self) -> None:
-        if not self.scale_cal > 0.0:
-            raise ValueError("scale_cal must be > 0")
-
-
-@dataclass
 class AuxGradients:
     """Per-class expected last-layer updates from the auxiliary probe.
 
     per_class is (Q, s, Q), and per_class[q] is (s, Q): the summed
     per-sample cross-entropy gradient of class q's probe samples, scaled by
-    -lr*local_epochs/batch_size*scale_cal so its units match one aggregation
-    round's observed weight delta.
+    -lr*local_epochs/batch_size so its units match one aggregation round's
+    observed weight delta.
     """
 
     per_class: Array
@@ -75,7 +57,6 @@ def probe_auxiliary(
     lr: float,
     local_epochs: int,
     batch_size: int,
-    params: EstimatorParams | None = None,
 ) -> AuxGradients:
     """Expected per-class last-layer updates on the previous global model.
 
@@ -83,14 +64,12 @@ def probe_auxiliary(
     cross-entropy; the per-sample last-layer gradients are summed (not
     averaged) so the class's auxiliary count stays in the update's units.
     """
-    params = params or EstimatorParams()
-    params.validate()
     q_total = prev_model.num_classes
     if aux.num_classes != q_total:
         raise ValueError(
             f"auxiliary set covers {aux.num_classes} classes, model has {q_total}"
         )
-    scale = -(lr * local_epochs / batch_size) * params.scale_cal
+    scale = -(lr * local_epochs / batch_size)
     per_class = np.empty((q_total, prev_model.layer_sizes[-2], q_total))
     for q, feats in enumerate(aux.class_features):
         if len(feats) == 0:

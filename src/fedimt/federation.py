@@ -18,7 +18,7 @@ master seed, so runs are fully deterministic.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -38,7 +38,6 @@ from .data import (
 )
 from .estimator import (
     AuxGradients,
-    EstimatorParams,
     counts_to_ratio,
     estimate_counts,
     oracle_counts,
@@ -69,6 +68,8 @@ _STREAM_CLIENT = 18
 
 def derive_seed(seed: int, *tags: int) -> tuple[int, ...]:
     """Flat integer tuple usable as a numpy SeedSequence entropy."""
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     return (int(seed), *tags)
 
 
@@ -115,6 +116,8 @@ class FlConfig:
             raise ValueError(f"unknown strategy {self.strategy!r}")
         if self.prox_mu < 0.0:
             raise ValueError("prox_mu must be >= 0")
+        if self.prox_mu > 0.0 and self.strategy != "fedprox":
+            raise ValueError(f"prox_mu needs strategy fedprox, got {self.strategy!r}")
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
         if self.n_latest is not None and self.n_latest < 1:
@@ -281,7 +284,6 @@ class FederatedRunner:
     model: MlpModel
     seed: int
     aux: AuxiliarySet | None = None
-    estimator_params: EstimatorParams = field(default_factory=EstimatorParams)
     test_features: Array | None = None
     test_labels: Array | None = None
     minority_classes: Array | None = None
@@ -326,7 +328,6 @@ class FederatedRunner:
             return LossSpec(kind=self.config.baseline_loss, gamma=self.config.focal_gamma)
         return LossSpec(
             kind="class_balanced",
-            beta=self.config.beta,
             class_weights=balanced_weights(self.observer.ratio, self._n_ref, self.config.beta),
         )
 
@@ -350,7 +351,6 @@ class FederatedRunner:
                 lr=self.config.lr,
                 local_epochs=self.config.local_epochs,
                 batch_size=self.config.batch_size,
-                params=self.estimator_params,
             )
         estimate = estimate_counts(
             self._probe,
@@ -482,7 +482,6 @@ def build_runner(config: "ExperimentConfig", seed: int) -> FederatedRunner:
         model=model,
         seed=seed,
         aux=aux,
-        estimator_params=config.estimator,
         test_features=None if config.skip_eval else test.features,
         test_labels=None if config.skip_eval else test.labels,
         minority_classes=minority_classes_of(train.class_counts()),

@@ -3,7 +3,6 @@ import pytest
 
 from fedimt.config import ExperimentConfig
 from fedimt.data import ClientDataset, Dataset
-from fedimt.estimator import EstimatorParams
 from fedimt.federation import FlConfig
 
 
@@ -86,7 +85,6 @@ def synthetic_exp_config(
         aux_per_class=32,
         test_fraction=0.25,
         hidden_sizes=(16,),
-        estimator=EstimatorParams(),
     )
     defaults.update(overrides)
     return ExperimentConfig(fl=fl, **defaults)

@@ -90,6 +90,19 @@ class TestRun:
         assert cli_main(["run", "--config", "/no/such/file.cfg"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_negative_seed_named(self, tiny_cfg_path, capsys):
+        assert cli_main(["run", "--config", tiny_cfg_path, "--seed", "-1"]) == 1
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+
+    def test_memory_error_is_one_line(self, tiny_cfg_path, capsys, monkeypatch):
+        def oversized(*args, **kwargs):
+            raise MemoryError("Unable to allocate 572. GiB for an array with shape (8, 76800000000)")
+
+        monkeypatch.setattr("fedimt.cli.run_experiment", oversized)
+        assert cli_main(["run", "--config", tiny_cfg_path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
+
 
 class TestSweep:
     def test_per_seed_files_and_aggregate(self, tiny_cfg_path, tmp_path):
@@ -125,6 +138,11 @@ class TestSweep:
                 )
             )
         assert blobs[0] == blobs[1]
+
+    def test_negative_seed_named_after_earlier_seeds(self, tiny_cfg_path, tmp_path, capsys):
+        assert cli_main(["sweep", "--config", tiny_cfg_path, "--seeds", "0,-1"]) == 1
+        assert (tmp_path / "out/tiny_s0.csv").exists()
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
 
 
 class TestEstimateOnly:
@@ -185,6 +203,14 @@ class TestGenData:
         span = train.features.max() - train.features.min()
         pixels = np.rint((train.features - train.features.min()) / span * 255.0) / 255.0
         np.testing.assert_array_equal(ds.features, pixels)
+
+    def test_negative_seed_named(self, tmp_path, capsys):
+        path = tmp_path / "neg.cfg"
+        path.write_text(TINY.replace("seed = 1", "seed = -1"))
+        img, lab = str(tmp_path / "gen_img"), str(tmp_path / "gen_lab")
+        assert cli_main(["gen-data", "--config", str(path), "--images", img, "--labels", lab]) == 1
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+        assert not os.path.exists(img)
 
     def test_rejects_labels_that_do_not_fit_a_ubyte(self, tmp_path, capsys):
         path = tmp_path / "wide.cfg"

@@ -95,7 +95,6 @@ class TestSurface:
             "aux_per_class": 128,
             "test_fraction": 0.2,
             "hidden_sizes": [32],
-            "scale_cal": 1.0,
             "skip_eval": False,
         }
 
@@ -111,7 +110,6 @@ FLOAT_KEYS = (
     "beta",
     "focal_gamma",
     "test_fraction",
-    "scale_cal",
 )
 
 
@@ -152,12 +150,18 @@ class TestStrictness:
         [
             ("lr = 0", "lr must be > 0"),
             ("lr = -1", "lr must be > 0"),
-            ("scale_cal = 0", "scale_cal must be > 0"),
         ],
     )
     def test_non_positive_step_scales_rejected(self, tmp_path, line, message):
         with pytest.raises(ConfigError, match=message):
             parse_config(write_cfg(tmp_path, MINIMAL + line + "\n"))
+
+    @pytest.mark.parametrize("strategy", ["fedavg", "fednova"])
+    def test_prox_mu_needs_fedprox(self, tmp_path, strategy):
+        # Only fedprox adds the proximal term; elsewhere prox_mu would be echoed but unused.
+        path = write_cfg(tmp_path, MINIMAL + f"strategy = {strategy}\nprox_mu = 0.5\n")
+        with pytest.raises(ConfigError, match=rf"exp\.cfg: prox_mu needs strategy fedprox, got '{strategy}'"):
+            parse_config(path)
 
     @pytest.mark.parametrize(
         "old, new, bad",

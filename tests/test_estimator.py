@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from fedimt.data import AuxiliarySet
 from fedimt.estimator import (
     AuxGradients,
-    EstimatorParams,
     counts_to_ratio,
     estimate_counts,
     oracle_counts,
@@ -108,16 +107,6 @@ class TestProbeAuxiliary:
         b = probe_auxiliary(model, aux, lr=0.02, local_epochs=3, batch_size=8)
         for ga, gb in zip(a.per_class, b.per_class):
             np.testing.assert_allclose(gb, ga * (0.02 * 3 / 8) / (0.01 * 1 / 4), rtol=1e-12)
-
-    @pytest.mark.parametrize("scale_cal", [0.0, -1.0])
-    def test_non_positive_scale_cal_rejected(self, scale_cal):
-        # A negative scale_cal would flip the sign of every probe update.
-        model, aux = self.make_probe_setup()
-        with pytest.raises(ValueError, match="scale_cal must be > 0"):
-            probe_auxiliary(
-                model, aux, lr=0.1, local_epochs=1, batch_size=4,
-                params=EstimatorParams(scale_cal=scale_cal),
-            )
 
 
 class TestEstimateCounts:
@@ -286,23 +275,22 @@ class TestEstimatorProperties:
         seed=st.integers(0, 2**32 - 1),
         q=st.integers(2, 6),
         s=st.integers(1, 24),
-        scale_cal=st.floats(0.1, 10.0),
+        f=st.floats(0.1, 10.0),
     )
     @settings(max_examples=40, deadline=None)
-    def test_ratio_unchanged_when_scale_cal_and_update_scale_together(self, seed, q, s, scale_cal):
-        # scale_cal multiplies the probe updates, so it calibrates their unit
-        # against the observed update: scaling both by one factor cancels.
-        # Scaling the probe alone does move the ratio.
+    def test_scaling_probe_and_delta_together_keeps_the_ratio(self, seed, q, s, f):
+        # The probe updates set the unit of the observed update: scaling both
+        # by one factor cancels. Scaling the probe alone does move the ratio.
         rng = np.random.default_rng(seed)
         model = mlp_init([5, s, q], seed=seed)
         aux = AuxiliarySet(class_features=[rng.normal(0.0, 1.0, (6, 5)) for _ in range(q)])
         delta = rng.normal(0.0, 1.0, (s, q))
-        ratios = []
-        for factor in (1.0, scale_cal):
-            params = EstimatorParams(scale_cal=factor)
-            grads = probe_auxiliary(model, aux, lr=1.0, local_epochs=1, batch_size=1, params=params)
-            estimate = estimate_counts(grads, np.zeros((s, q)), factor * delta, 300.0, 3)
-            ratios.append(counts_to_ratio(estimate.counts))
+        grads = probe_auxiliary(model, aux, lr=1.0, local_epochs=1, batch_size=1)
+        scaled = AuxGradients(per_class=f * grads.per_class, n_aux=grads.n_aux)
+        ratios = [
+            counts_to_ratio(estimate_counts(g, np.zeros((s, q)), d, 300.0, 3).counts)
+            for g, d in ((grads, delta), (scaled, f * delta))
+        ]
         np.testing.assert_allclose(ratios[1], ratios[0], rtol=1e-7, atol=1e-12)
 
     @given(
