@@ -21,7 +21,7 @@ import numpy as np
 
 from .config import ConfigError, ExperimentConfig, parse_config
 from .data import write_idx
-from .federation import _build_datasets, run_experiment
+from .federation import _build_datasets, derive_seed, run_experiment
 from .metrics import SUMMARY_FLOATS, write_metrics
 
 
@@ -83,6 +83,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         seeds = config.seeds or [config.seed]
     if not seeds:
         raise ConfigError("sweep needs at least one seed")
+    for seed in seeds:  # reject a bad seed before any run writes its files
+        derive_seed(seed)
     csv_base, json_base = _default_paths(config, args.config)
     summaries = {}
     for seed in seeds:
@@ -166,7 +168,7 @@ def cli_main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except (ConfigError, OSError, ValueError, MemoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

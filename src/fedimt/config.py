@@ -18,7 +18,7 @@ from dataclasses import MISSING, asdict, dataclass, fields
 from typing import get_args, get_origin, get_type_hints
 
 from .data import PRESETS, make_synthetic_spec
-from .federation import FlConfig
+from .federation import FlConfig, derive_seed
 
 
 class ConfigError(ValueError):
@@ -94,6 +94,8 @@ class ExperimentConfig:
 
     def validate(self) -> None:  # the generator keys' rules are SyntheticSpec.validate's
         self.fl.validate()
+        for seed in (self.seed, *(self.seeds or ())):
+            derive_seed(seed)
         if self.data_source not in ("synthetic", "idx"):
             raise ConfigError(f"data must be 'synthetic' or 'idx', got {self.data_source!r}")
         if self.data_source == "synthetic" and self.synthetic is None:

@@ -281,55 +281,33 @@ def shard_partition(
     ]
 
 
-def _window_span(sizes, n_latest: int, round_index: int):
-    """Start and width of each client's latest-n window as of a round, in
-    positions along the client's arrival stream (sizes: samples per client).
+def window_positions(sizes, n_latest: int, round_index: int) -> Array:
+    """Where every client's latest-n window sits as of a round, in positions
+    along the clients' arrival streams laid end to end (sizes: samples per
+    client; client 0's stream first), each window oldest first.
 
     Arrivals replay the client's trace as a circular stream: by round r the
     cursor sits at n_latest + r*step with step = max(1, n_latest // 2), and
-    the window covers the n_latest positions behind it. n_latest >= total
-    degenerates to the whole dataset.
+    the window covers the n_latest positions behind it. n_latest >= size
+    degenerates to the client's whole dataset.
     """
     if n_latest < 1:
         raise ValueError("n_latest must be >= 1")
+    sizes = np.asarray(sizes)
     width = np.minimum(n_latest, sizes)
     cursor = n_latest + round_index * max(1, n_latest // 2)
-    return cursor - width, width
+    client = np.repeat(np.arange(len(sizes)), width)
+    offset = np.arange(width.sum()) - np.repeat(np.cumsum(width) - width, width)
+    stream_start = np.cumsum(sizes) - sizes
+    return stream_start[client] + (cursor - width[client] + offset) % sizes[client]
 
 
 def window_latest(client: ClientDataset, n_latest: int, round_index: int) -> Dataset:
     """The client's most recent n_latest samples as of a round (the
-    positions follow _window_span), in arrival order."""
+    positions follow window_positions), in arrival order."""
     ds = client.dataset
-    n = len(ds)
-    start, width = _window_span(n, n_latest, round_index)
-    idx = ds.time_order[np.arange(start, start + width) % n]
-    return Dataset(ds.features[idx], ds.labels[idx], ds.num_classes, np.arange(width))
-
-
-@dataclass
-class LabelStreams:
-    """Every client's labels in arrival order, laid end to end, so that the
-    latest-n windows of all clients are counted in one pass."""
-
-    labels: Array  # client 0's stream, then client 1's, ...
-    sizes: Array  # (num_clients,) samples per client
-
-    @classmethod
-    def of(cls, clients: list[ClientDataset]) -> "LabelStreams":
-        return cls(
-            labels=np.concatenate([c.dataset.labels[c.dataset.time_order] for c in clients]),
-            sizes=np.array([len(c.dataset) for c in clients]),
-        )
-
-    def window_counts(self, n_latest: int, round_index: int, num_classes: int) -> Array:
-        """Per-class counts over every client's window_latest slice."""
-        start, width = _window_span(self.sizes, n_latest, round_index)
-        client = np.repeat(np.arange(len(self.sizes)), width)
-        offset = np.arange(width.sum()) - np.repeat(np.cumsum(width) - width, width)
-        stream_start = np.cumsum(self.sizes) - self.sizes
-        pos = stream_start[client] + (start[client] + offset) % self.sizes[client]
-        return np.bincount(self.labels[pos], minlength=num_classes).astype(float)
+    idx = ds.time_order[window_positions([len(ds)], n_latest, round_index)]
+    return Dataset(ds.features[idx], ds.labels[idx], ds.num_classes, np.arange(len(idx)))
 
 
 def sample_auxiliary(dataset: Dataset, per_class_count: int, seed: int) -> AuxiliarySet:

@@ -27,7 +27,6 @@ from .data import (
     AuxiliarySet,
     ClientDataset,
     Dataset,
-    LabelStreams,
     auxiliary_from_dataset,
     gen_synthetic,
     load_idx,
@@ -35,6 +34,7 @@ from .data import (
     sample_auxiliary,
     shard_partition,
     window_latest,
+    window_positions,
 )
 from .estimator import (
     AuxGradients,
@@ -302,14 +302,12 @@ class FederatedRunner:
                 drop_threshold=self.config.drop_threshold,
             )
             self._n_ref = float(max(self.num_classes, sum(c.total_count for c in self.clients)))
-            # The ground truth behind T_G: without a window every sample is
-            # in scope every round, so it is counted once.
-            if self.config.n_latest is None:
-                self._all_counts = oracle_counts(
-                    [np.concatenate([c.dataset.labels for c in self.clients])], self.num_classes
-                )
-            else:
-                self._streams = LabelStreams.of(self.clients)
+            # The ground truth behind T_G: every client's labels in arrival
+            # order, laid end to end, the stream window_positions indexes.
+            self._label_stream = np.concatenate(
+                [c.dataset.labels[c.dataset.time_order] for c in self.clients]
+            )
+            self._client_sizes = np.array([c.total_count for c in self.clients])
         else:
             self.observer = None
         self.loss_spec = self._build_loss_spec()
@@ -338,9 +336,10 @@ class FederatedRunner:
 
     def _global_truth(self, round_index: int) -> Array:
         """Class counts over every client's in-scope samples at a round."""
-        if self.config.n_latest is None:
-            return self._all_counts
-        return self._streams.window_counts(self.config.n_latest, round_index, self.num_classes)
+        labels = self._label_stream
+        if self.config.n_latest is not None:
+            labels = labels[window_positions(self._client_sizes, self.config.n_latest, round_index)]
+        return np.bincount(labels, minlength=self.num_classes).astype(float)
 
     def _estimate_round_ratio(self, candidate: MlpModel, total: float, num_selected: int):
         """Probe the previous global model and solve for this round's counts."""

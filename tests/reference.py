@@ -11,7 +11,7 @@ layer_views cuts from the flat gradient buffer.
 
 import numpy as np
 
-from fedimt.data import ClientDataset, Dataset, window_latest
+from fedimt.data import ClientDataset, Dataset
 from fedimt.estimator import CountEstimate, oracle_counts
 from fedimt.federation import ClientUpdate
 from fedimt.metrics import EvalResult
@@ -326,7 +326,26 @@ def reference_evaluate(model, features, labels, minority_classes=None):
     )
 
 
+def reference_window_latest(client, n_latest, round_index):
+    """The client's most recent n_latest samples as of a round, in arrival order.
+
+    Arrivals replay the client's trace as a circular stream: by round r the
+    cursor sits at n_latest + r*step with step = max(1, n_latest // 2), and
+    the window covers the n_latest positions behind it. n_latest >= total
+    degenerates to the whole dataset.
+    """
+    if n_latest < 1:
+        raise ValueError("n_latest must be >= 1")
+    ds = client.dataset
+    n = len(ds)
+    width = np.minimum(n_latest, n)
+    cursor = n_latest + round_index * max(1, n_latest // 2)
+    start = cursor - width
+    idx = ds.time_order[np.arange(start, start + width) % n]
+    return Dataset(ds.features[idx], ds.labels[idx], ds.num_classes, np.arange(width))
+
+
 def reference_window_counts(clients, n_latest, round_index, num_classes):
     return oracle_counts(
-        [window_latest(c, n_latest, round_index).labels for c in clients], num_classes
+        [reference_window_latest(c, n_latest, round_index).labels for c in clients], num_classes
     )

@@ -103,6 +103,14 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
 
+    def test_message_less_error_named_by_type(self, tiny_cfg_path, capsys, monkeypatch):
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError()
+
+        monkeypatch.setattr("fedimt.cli.run_experiment", out_of_memory)
+        assert cli_main(["run", "--config", tiny_cfg_path]) == 1
+        assert capsys.readouterr().err == "error: MemoryError\n"
+
 
 class TestSweep:
     def test_per_seed_files_and_aggregate(self, tiny_cfg_path, tmp_path):
@@ -141,7 +149,7 @@ class TestSweep:
 
     def test_negative_seed_named_after_earlier_seeds(self, tiny_cfg_path, tmp_path, capsys):
         assert cli_main(["sweep", "--config", tiny_cfg_path, "--seeds", "0,-1"]) == 1
-        assert (tmp_path / "out/tiny_s0.csv").exists()
+        assert not (tmp_path / "out/tiny_s0.csv").exists()
         assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
 
 
@@ -209,7 +217,7 @@ class TestGenData:
         path.write_text(TINY.replace("seed = 1", "seed = -1"))
         img, lab = str(tmp_path / "gen_img"), str(tmp_path / "gen_lab")
         assert cli_main(["gen-data", "--config", str(path), "--images", img, "--labels", lab]) == 1
-        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+        assert capsys.readouterr().err == f"error: {path}: seed must be >= 0, got -1\n"
         assert not os.path.exists(img)
 
     def test_rejects_labels_that_do_not_fit_a_ubyte(self, tmp_path, capsys):

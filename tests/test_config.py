@@ -226,6 +226,13 @@ class TestStrictness:
         with pytest.raises(ConfigError, match=r"drop_threshold must be in \[0, 1\]"):
             parse_config(path)
 
+    @pytest.mark.parametrize("line", ["seed = -1", "seeds = 0,-1"])
+    def test_negative_seed_named_with_file(self, tmp_path, line):
+        path = write_cfg(tmp_path, MINIMAL + line + "\n")
+        with pytest.raises(ConfigError) as info:
+            parse_config(path)
+        assert str(info.value) == f"{path}: seed must be >= 0, got -1"
+
 
 class TestDataSources:
     def test_idx_requires_existing_files(self, tmp_path):

@@ -15,10 +15,16 @@ from fedimt.data import (
     sample_auxiliary,
     shard_partition,
     window_latest,
+    window_positions,
     write_idx,
 )
 from conftest import make_client, make_dataset
-from reference import reference_bursty_order, reference_gen_synthetic, reference_shard_partition
+from reference import (
+    reference_bursty_order,
+    reference_gen_synthetic,
+    reference_shard_partition,
+    reference_window_latest,
+)
 
 # The generator parameters of fedbench's manyclass_server workload.
 MANYCLASS = dict(
@@ -306,6 +312,35 @@ class TestWindowLatest:
         client = make_client(np.zeros((4, 2)), [0, 1, 0, 1])
         with pytest.raises(ValueError):
             window_latest(client, 0, 0)
+
+    # Empty clients, one-sample clients and clients smaller than the window,
+    # each with its own arrival order.
+    @given(
+        st.lists(st.integers(0, 120), min_size=1, max_size=6),
+        st.integers(1, 100),
+        st.integers(0, 20),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_reference(self, sizes, n_latest, round_index, seed):
+        rng = np.random.default_rng(seed)
+        own_positions = []
+        for size, stream_start in zip(sizes, np.cumsum(sizes) - sizes):
+            client = make_client(
+                rng.normal(size=(size, 2)),
+                rng.integers(0, 3, size),
+                num_classes=3,
+                time_order=rng.permutation(size),
+            )
+            got = window_latest(client, n_latest, round_index)
+            want = reference_window_latest(client, n_latest, round_index)
+            for name in ("features", "labels", "time_order"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert np.array_equal(a, b) and a.dtype == b.dtype, name
+            own_positions.append(stream_start + window_positions([size], n_latest, round_index))
+        np.testing.assert_array_equal(
+            window_positions(sizes, n_latest, round_index), np.concatenate(own_positions)
+        )
 
 
 class TestSampleAuxiliary:

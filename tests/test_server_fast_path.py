@@ -2,8 +2,8 @@
 
 Each reference in reference.py is the earlier implementation, kept as it was:
 estimate_counts as one loop over classes, evaluation as the softmax's argmax
-counted with np.add.at, and the T_G ground truth as one window_latest call per
-client summed by oracle_counts. The fast paths do the same arithmetic in
+counted with np.add.at, and the T_G ground truth as each client's latest
+window, sliced one client at a time, summed by oracle_counts. The fast paths do the same arithmetic in
 array form, so their results must be equal, not merely close.
 
 The runner probes and evaluates each global model once: a dropped round keeps
@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import fedimt.federation as federation
-from fedimt.data import ClientDataset, LabelStreams
+from fedimt.data import AuxiliarySet, ClientDataset
 from fedimt.estimator import AuxGradients, estimate_counts, oracle_counts
 from fedimt.metrics import evaluate
 from fedimt.nn import MlpModel, mlp_init
@@ -135,9 +135,15 @@ def uneven_clients(num_classes=5, seed=0):
 @pytest.mark.parametrize("n_latest", [1, 4, 16, 64, 100])
 def test_window_counts_match_per_client_windows(n_latest):
     clients = uneven_clients()
-    streams = LabelStreams.of(clients)
+    runner = federation.FederatedRunner(
+        config=federation.FlConfig(num_clients=len(clients), rounds=9, n_latest=n_latest),
+        clients=clients,
+        model=mlp_init([2, 5], seed=0),
+        seed=0,
+        aux=AuxiliarySet([np.zeros((1, 2))] * 5),
+    )
     for r in range(9):
-        got = streams.window_counts(n_latest, r, 5)
+        got = runner._global_truth(r)
         want = reference_window_counts(clients, n_latest, r, 5)
         np.testing.assert_array_equal(got, want)
         assert got.dtype == want.dtype
