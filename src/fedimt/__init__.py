@@ -39,6 +39,7 @@ from .federation import (
 )
 from .metrics import (
     EvalResult,
+    EvalSet,
     ExperimentReport,
     RoundRecord,
     evaluate,

@@ -77,12 +77,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     config = parse_config(args.config)
-    if args.seeds:
-        seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
-    else:
-        seeds = config.seeds or [config.seed]
-    if not seeds:
-        raise ConfigError("sweep needs at least one seed")
+    seeds = args.seeds or config.seeds or [config.seed]
     for seed in seeds:  # reject a bad seed before any run writes its files
         derive_seed(seed)
     csv_base, json_base = _default_paths(config, args.config)
@@ -127,6 +122,17 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
     return 0
 
 
+def _seed_list(text: str) -> list[int]:
+    """'0,1,2' -> [0, 1, 2]; no seed, or a part that is not an integer, is a usage error."""
+    try:
+        seeds = [int(part) for part in text.split(",") if part.strip()]
+    except ValueError:
+        seeds = []
+    if not seeds:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+    return seeds
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fedimt",
@@ -141,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser("sweep", help="repeat over seeds and aggregate")
     sweep.add_argument("--config", required=True, help="experiment config file")
-    sweep.add_argument("--seeds", default=None, help="comma-separated seeds")
+    sweep.add_argument("--seeds", type=_seed_list, default=None, help="comma-separated seeds")
     sweep.set_defaults(func=cmd_sweep)
 
     est = sub.add_parser(

@@ -227,6 +227,14 @@ def parse_config(path: str) -> ExperimentConfig:
     if synthetic is not None:
         try:  # the generator's own checks, so each rule keeps one home
             make_synthetic_spec(**synthetic).validate()
+            # The training split holds class_counts' samples, and
+            # shard_partition needs one for every shard.
+            n, n_shards = sum(synthetic["class_counts"]), config.fl.num_clients * config.shards_per_client
+            if n < n_shards:
+                raise ValueError(
+                    f"class_counts hold {n} samples, too few for num_clients x "
+                    f"shards_per_client = {n_shards} shards"
+                )
         except ValueError as exc:
             # Each message starts with the key it concerns; name that key's line.
             lineno = pairs.get(str(exc).partition(" ")[0], (None, None))[1]

@@ -43,7 +43,7 @@ from .estimator import (
     oracle_counts,
     probe_auxiliary,
 )
-from .metrics import ExperimentReport, RoundRecord, evaluate, summarize_records
+from .metrics import EvalSet, ExperimentReport, RoundRecord, evaluate, summarize_records
 from .nn import (
     Array, LossSpec, MlpModel, OptState, backward, compute_loss, forward, loss_targets, mlp_init, sgd_step
 )
@@ -284,9 +284,7 @@ class FederatedRunner:
     model: MlpModel
     seed: int
     aux: AuxiliarySet | None = None
-    test_features: Array | None = None
-    test_labels: Array | None = None
-    minority_classes: Array | None = None
+    test_set: EvalSet | None = None  # None: no test evaluation
     round_index: int = 0
 
     def __post_init__(self) -> None:
@@ -361,12 +359,10 @@ class FederatedRunner:
         return estimate.counts, counts_to_ratio(estimate.counts)
 
     def _evaluate(self) -> tuple[float | None, float | None]:
-        if self.test_features is None:
+        if self.test_set is None:
             return None, None
         if self._evaluation is None:
-            result = evaluate(
-                self.model, self.test_features, self.test_labels, self.minority_classes
-            )
+            result = evaluate(self.model, self.test_set)
             self._evaluation = (result.accuracy, result.minority_accuracy)
         return self._evaluation
 
@@ -481,9 +477,9 @@ def build_runner(config: "ExperimentConfig", seed: int) -> FederatedRunner:
         model=model,
         seed=seed,
         aux=aux,
-        test_features=None if config.skip_eval else test.features,
-        test_labels=None if config.skip_eval else test.labels,
-        minority_classes=minority_classes_of(train.class_counts()),
+        test_set=None if config.skip_eval else EvalSet(
+            test.features, test.labels, minority_classes_of(train.class_counts())
+        ),
     )
 
 

@@ -326,6 +326,26 @@ def reference_evaluate(model, features, labels, minority_classes=None):
     )
 
 
+def reference_blocked_predictions(model, features):
+    """evaluate's predictions before its float32 pass: the float64 argmax in
+    blocks of 1,024 rows."""
+    blocks = np.split(features, range(1024, len(features), 1024))
+    return np.concatenate([forward(model, x).logits.argmax(axis=1) for x in blocks])
+
+
+def reference_blocked_evaluate(model, features, labels, minority_classes=None):
+    """evaluate before its float32 pass, as it was."""
+    labels = np.asarray(labels, dtype=int)
+    pred = reference_blocked_predictions(model, features)
+    accuracy = float(np.count_nonzero(pred == labels) / len(labels))
+    minority_accuracy = None
+    if minority_classes is not None and len(minority_classes) > 0:
+        mask = np.isin(labels, minority_classes)
+        if mask.any():
+            minority_accuracy = float((pred[mask] == labels[mask]).mean())
+    return EvalResult(accuracy=accuracy, minority_accuracy=minority_accuracy)
+
+
 def reference_window_latest(client, n_latest, round_index):
     """The client's most recent n_latest samples as of a round, in arrival order.
 

@@ -86,6 +86,17 @@ class TestRun:
         err = capsys.readouterr().err
         assert f"{path}:{len(lines)}: {message}" in err
 
+    def test_too_few_samples_for_the_shards_named_with_its_line(self, tmp_path, capsys):
+        # 4 clients x 2 shards each need 8 training samples; class_counts hold 5.
+        path = tmp_path / "few.cfg"
+        lines = [l for l in TINY.splitlines() if not l.startswith("class_counts")] + ["class_counts = 5,0,0"]
+        path.write_text("\n".join(lines) + "\n")
+        assert cli_main(["run", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}:{len(lines)}: class_counts hold 5 samples, too few for "
+            "num_clients x shards_per_client = 8 shards\n"
+        )
+
     def test_nonexistent_config_exits_1(self, capsys):
         assert cli_main(["run", "--config", "/no/such/file.cfg"]) == 1
         assert "error:" in capsys.readouterr().err
@@ -146,6 +157,12 @@ class TestSweep:
                 )
             )
         assert blobs[0] == blobs[1]
+
+    @pytest.mark.parametrize("seeds", ["0,x", ","])
+    def test_non_integer_seed_is_a_usage_error(self, tiny_cfg_path, tmp_path, capsys, seeds):
+        assert cli_main(["sweep", "--config", tiny_cfg_path, "--seeds", seeds]) == 2
+        assert not (tmp_path / "out").exists()
+        assert f"--seeds: expected comma-separated integers, got '{seeds}'" in capsys.readouterr().err
 
     def test_negative_seed_named_after_earlier_seeds(self, tiny_cfg_path, tmp_path, capsys):
         assert cli_main(["sweep", "--config", tiny_cfg_path, "--seeds", "0,-1"]) == 1

@@ -7,6 +7,7 @@ import pytest
 from conftest import synthetic_exp_config
 from fedimt.federation import run_experiment, summarize_records
 from fedimt.metrics import (
+    EvalSet,
     RoundRecord,
     evaluate,
     report_csv_lines,
@@ -38,7 +39,7 @@ class TestEvaluate:
         q = 4
         labels = np.array([0, 1, 2, 3, 1, 2, 0, 3])
         feats = np.eye(q)[labels]
-        result = evaluate(identity_predictor(q), feats, labels, minority_classes=np.array([1]))
+        result = evaluate(identity_predictor(q), EvalSet(feats, labels, np.array([1])))
         assert result.accuracy == 1.0
         assert result.minority_accuracy == 1.0
 
@@ -48,7 +49,7 @@ class TestEvaluate:
         labels = (rng.random(n) < 0.162).astype(int)
         feats = rng.normal(0, 1, (n, 3))
         model = constant_predictor(3, 2, winner=0)
-        result = evaluate(model, feats, labels, minority_classes=np.array([1]))
+        result = evaluate(model, EvalSet(feats, labels, np.array([1])))
         assert result.accuracy == pytest.approx(1.0 - labels.mean())
         assert result.minority_accuracy == 0.0
 
@@ -56,18 +57,16 @@ class TestEvaluate:
         labels = np.array([0, 1, 0, 1])
         feats = np.zeros((4, 2))
         model = constant_predictor(2, 2, winner=0)
-        assert evaluate(model, feats, labels, minority_classes=np.array([], dtype=int)).minority_accuracy is None
+        assert evaluate(model, EvalSet(feats, labels, np.array([], dtype=int))).minority_accuracy is None
 
     def test_empty_test_set_rejected(self):
-        model = constant_predictor(2, 2, winner=0)
-        with pytest.raises(ValueError):
-            evaluate(model, np.zeros((0, 2)), np.zeros(0, dtype=int))
+        with pytest.raises(ValueError, match="empty"):
+            EvalSet(np.zeros((0, 2)), np.zeros(0, dtype=int))
 
     def test_row_count_mismatch_rejected(self):
         # One prediction would otherwise broadcast against all five labels.
-        model = mlp_init([3, 4, 2], seed=0)
         with pytest.raises(ValueError, match="1 feature rows for 5 labels"):
-            evaluate(model, np.zeros((1, 3)), np.array([0, 1, 0, 0, 1]))
+            EvalSet(np.zeros((1, 3)), np.array([0, 1, 0, 0, 1]))
 
 
 class TestWriteMetrics:

@@ -16,7 +16,7 @@ import pytest
 import fedimt.federation as federation
 from fedimt.data import AuxiliarySet, ClientDataset
 from fedimt.estimator import AuxGradients, estimate_counts, oracle_counts
-from fedimt.metrics import evaluate
+from fedimt.metrics import EvalSet, evaluate
 from fedimt.nn import MlpModel, mlp_init
 from conftest import make_dataset, synthetic_exp_config
 from reference import reference_estimate_counts, reference_evaluate, reference_window_counts
@@ -93,7 +93,7 @@ def test_evaluate_matches_softmax_argmax(seed):
     # Class q - 1 never appears, though it is a minority class.
     labels = rng.integers(0, q - 1, 500)
     minority = np.array([0, q - 1])
-    got = evaluate(model, features, labels, minority)
+    got = evaluate(model, EvalSet(features, labels, minority))
     want = reference_evaluate(model, features, labels, minority)
     assert got.accuracy == want.accuracy
     assert got.minority_accuracy == want.minority_accuracy
@@ -107,7 +107,7 @@ def test_evaluate_ties_pick_the_first_class():
     model.biases[0][:] = [0.0, 2.0, 1.0, 2.0]
     labels = np.array([0, 1, 2, 3, 1])
     features = np.zeros((5, 3))
-    got = evaluate(model, features, labels)
+    got = evaluate(model, EvalSet(features, labels))
     want = reference_evaluate(model, features, labels)
     assert got.accuracy == want.accuracy == 0.4
 
@@ -115,7 +115,7 @@ def test_evaluate_ties_pick_the_first_class():
 def test_evaluate_rejects_out_of_range_labels():
     model = mlp_init([3, 4], seed=0)
     with pytest.raises(ValueError, match="labels"):
-        evaluate(model, np.zeros((2, 3)), np.array([0, 4]))
+        evaluate(model, EvalSet(np.zeros((2, 3)), np.array([0, 4])))
 
 
 def uneven_clients(num_classes=5, seed=0):
