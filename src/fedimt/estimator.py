@@ -30,15 +30,16 @@ DENOM_EPSILON = 1e-12
 
 @dataclass
 class AuxGradients:
-    """Per-class expected last-layer updates from the auxiliary probe.
+    """What the count solve reads of the per-class auxiliary probe.
 
-    per_class is (Q, s, Q), and per_class[q] is (s, Q): the summed
-    per-sample cross-entropy gradient of class q's probe samples, scaled by
-    -lr*local_epochs/batch_size so its units match one aggregation round's
-    observed weight delta.
+    Class q's probe update is the (s, Q) summed per-sample cross-entropy
+    gradient of its probe samples, scaled by -lr*local_epochs/batch_size to
+    the units of one round's observed weight delta. own[q] is its column q;
+    class_sum adds the Q updates in class order.
     """
 
-    per_class: Array
+    own: Array  # (Q, s)
+    class_sum: Array  # (s, Q)
     n_aux: Array
 
 
@@ -70,7 +71,8 @@ def probe_auxiliary(
             f"auxiliary set covers {aux.num_classes} classes, model has {q_total}"
         )
     scale = -(lr * local_epochs / batch_size)
-    per_class = np.empty((q_total, prev_model.layer_sizes[-2], q_total))
+    update = np.empty((prev_model.layer_sizes[-2], q_total))
+    own, class_sum = np.empty((q_total, len(update))), np.zeros_like(update)
     for q, feats in enumerate(aux.class_features):
         if len(feats) == 0:
             raise ValueError(f"auxiliary class {q} is empty")
@@ -79,9 +81,11 @@ def probe_auxiliary(
         # one-hot subtraction in place.
         grad = acts.probabilities
         grad[:, q] -= 1.0
-        np.matmul(acts.hidden_outputs.T, grad, out=per_class[q])
-        per_class[q] *= scale
-    return AuxGradients(per_class=per_class, n_aux=aux.per_class_count.astype(float))
+        np.matmul(acts.hidden_outputs.T, grad, out=update)
+        update *= scale
+        own[q] = update[:, q]
+        class_sum += update
+    return AuxGradients(own=own, class_sum=class_sum, n_aux=aux.per_class_count.astype(float))
 
 
 def estimate_counts(
@@ -93,8 +97,8 @@ def estimate_counts(
 ) -> CountEstimate:
     """Solve the per-node linear equations and combine with confidence weights.
 
-    For class p and hidden node m, with own = probe update of class p and
-    other = mean probe update of the remaining classes at entry (m, p):
+    For class p and hidden node m, with own = aux_grads.own[p, m] and other =
+    (class_sum[m, p] - own) / (Q - 1), the other classes' mean update there:
 
         own * x + other * (total - x) = n_aux_p * K * (w_new - w_prev)[m, p]
 
@@ -106,16 +110,12 @@ def estimate_counts(
     the result is clamped into [0, total_samples]; a class with no surviving
     node falls back to total/Q.
     """
-    if total_samples <= 0:
+    if not total_samples > 0:
         raise ValueError("total_samples must be > 0")
-    per_class = aux_grads.per_class  # (Q, s, Q)
-    q_total, s = per_class.shape[:2]
-    classes = np.arange(q_total)
-    # Row p of own and other: class p's probe update at column p, and the
-    # mean of the other classes' updates there.
-    own = per_class[classes, :, classes]
+    own = aux_grads.own
+    q_total, s = own.shape
     if q_total > 1:
-        other = (per_class.sum(axis=0).T - own) / (q_total - 1)
+        other = (aux_grads.class_sum.T - own) / (q_total - 1)
     else:
         other = np.zeros((q_total, s))
     # other == 0 with own != 0 means no competing class touches this

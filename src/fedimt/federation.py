@@ -114,7 +114,7 @@ class FlConfig:
             raise ValueError("momentum must be in [0, 1)")
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}")
-        if self.prox_mu < 0.0:
+        if not self.prox_mu >= 0.0:
             raise ValueError("prox_mu must be >= 0")
         if self.prox_mu > 0.0 and self.strategy != "fedprox":
             raise ValueError(f"prox_mu needs strategy fedprox, got {self.strategy!r}")
@@ -128,7 +128,7 @@ class FlConfig:
             raise ValueError("beta must be in [0, 1)")
         if self.baseline_loss not in ("plain_ce", "focal"):
             raise ValueError(f"baseline_loss must be plain_ce or focal, got {self.baseline_loss!r}")
-        if self.focal_gamma < 0.0:
+        if not self.focal_gamma >= 0.0:
             raise ValueError("focal_gamma must be >= 0")
 
 
@@ -393,10 +393,7 @@ class FederatedRunner:
             candidate = aggregate(updates, self.model, self.config.strategy)
             rec.train_loss = float(np.mean([u.train_loss for u in updates]))
             if self._tracking:
-                if self.config.n_latest is not None:
-                    total = float(self.config.n_latest * len(updates))
-                else:
-                    total = float(sum(u.sample_count for u in updates))
+                total = float(sum(u.sample_count for u in updates))
                 rec.estimated_counts, rec.round_ratio = self._estimate_round_ratio(
                     candidate, total, len(updates)
                 )

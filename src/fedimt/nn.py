@@ -113,19 +113,22 @@ class LossSpec:
             raise ValueError(f"unknown loss kind {self.kind!r}")
         if not 0.0 <= self.beta < 1.0:
             raise ValueError(f"beta must be in [0, 1), got {self.beta}")
-        if self.kind == "focal" and self.gamma < 0.0:
+        if self.kind == "focal" and not self.gamma >= 0.0:
             raise ValueError(f"gamma must be >= 0, got {self.gamma}")
         if self.kind == "class_balanced":
             if self.class_weights is not None:
                 if len(self.class_weights) != num_classes:
                     raise ValueError("class_weights length must equal number of classes")
+                weights = np.asarray(self.class_weights, dtype=float)
+                if not np.all((weights >= 0.0) & (weights < np.inf)):
+                    raise ValueError("class_weights must be finite and >= 0")
                 return
             if self.per_class_n is None:
                 raise ValueError("class_balanced loss requires per_class_n")
             n = np.asarray(self.per_class_n, dtype=float)
             if len(n) != num_classes:
                 raise ValueError("per_class_n length must equal number of classes")
-            if np.any(n < 1.0):
+            if not np.all(n >= 1.0):
                 raise ValueError("per_class_n entries must be >= 1")
 
 

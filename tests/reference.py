@@ -7,12 +7,16 @@ lockstep engine (tests/test_lockstep.py holds its tolerance). Only its calls
 into fedimt.nn follow that module's current API: it builds each batch's loss
 targets with loss_targets, and its FedProx loop adds to the weight views that
 layer_views cuts from the flat gradient buffer.
+
+reference_probe_auxiliary returns every class's full (s, Q) probe update as
+one (Q, s, Q) array, and reference_estimate_counts reads that array;
+lean_probe reduces it to the AuxGradients that estimate_counts reads.
 """
 
 import numpy as np
 
 from fedimt.data import ClientDataset, Dataset
-from fedimt.estimator import CountEstimate, oracle_counts
+from fedimt.estimator import AuxGradients, CountEstimate, oracle_counts
 from fedimt.federation import ClientUpdate
 from fedimt.metrics import EvalResult
 from fedimt.nn import (
@@ -258,13 +262,35 @@ def reference_aggregate(updates, global_model, strategy):
     return weights, biases
 
 
-def reference_estimate_counts(aux_grads, w_prev, w_new, total_samples, num_selected):
-    q_total = len(aux_grads.per_class)
+def reference_probe_auxiliary(prev_model, aux, lr, local_epochs, batch_size):
+    q_total = prev_model.num_classes
+    scale = -(lr * local_epochs / batch_size)
+    per_class = np.empty((q_total, prev_model.layer_sizes[-2], q_total))
+    for q, feats in enumerate(aux.class_features):
+        acts = forward(prev_model, feats)
+        grad = acts.probabilities
+        grad[:, q] -= 1.0
+        np.matmul(acts.hidden_outputs.T, grad, out=per_class[q])
+        per_class[q] *= scale
+    return per_class
+
+
+def lean_probe(per_class, n_aux):
+    """The AuxGradients of a (Q, s, Q) probe: each class's update at its
+    own column, and the sum over classes."""
+    classes = np.arange(len(per_class))
+    return AuxGradients(
+        own=per_class[classes, :, classes], class_sum=per_class.sum(axis=0), n_aux=n_aux
+    )
+
+
+def reference_estimate_counts(per_class, n_aux, w_prev, w_new, total_samples, num_selected):
+    q_total = len(per_class)
     s = w_prev.shape[0]
     delta = w_new - w_prev
 
-    sum_aux = np.zeros_like(aux_grads.per_class[0])
-    for g in aux_grads.per_class:
+    sum_aux = np.zeros_like(per_class[0])
+    for g in per_class:
         sum_aux += g
 
     counts = np.zeros(q_total)
@@ -274,7 +300,7 @@ def reference_estimate_counts(aux_grads, w_prev, w_new, total_samples, num_selec
     fallback = np.zeros(q_total, dtype=bool)
 
     for p in range(q_total):
-        own = aux_grads.per_class[p][:, p]
+        own = per_class[p][:, p]
         if q_total > 1:
             other = (sum_aux[:, p] - own) / (q_total - 1)
         else:
@@ -286,7 +312,7 @@ def reference_estimate_counts(aux_grads, w_prev, w_new, total_samples, num_selec
 
         denom = own - other
         ok = (np.abs(denom) > 1e-12) & (conf > 0.0)
-        rhs = aux_grads.n_aux[p] * num_selected * delta[:, p]
+        rhs = n_aux[p] * num_selected * delta[:, p]
         estimates = np.where(ok, (rhs - other * total_samples) / np.where(ok, denom, 1.0), np.nan)
         node_estimates[p] = estimates
 

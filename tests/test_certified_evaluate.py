@@ -15,6 +15,7 @@ from contextlib import contextmanager, nullcontext
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -157,3 +158,36 @@ def test_small_passes_run_float64_throughout():
             result = evaluate(model, EvalSet(features[:rows], labels[:rows]))
         assert result.accuracy == 1.0
         assert seen[path] > 0 and set(seen) <= {path, "gathered", "recomputed"}, seen
+
+
+@pytest.mark.parametrize(
+    "bound_of, settled",
+    [
+        (lambda gap: gap, False),
+        (lambda gap: gap / 3.0, False),
+        (lambda gap: gap / 4.0, False),
+        (lambda gap: np.nextafter(gap / 4.0, 0.0), True),
+        (lambda gap: gap / 64.0, True),
+    ],
+    ids=["gap=b", "gap=3b", "gap=4b", "gap=4b+ulp", "gap=64b"],
+)
+def test_gathered_argmax_stands_only_beyond_four_bounds(bound_of, settled):
+    # Small-integer weights, biases and features: every product and partial
+    # sum is an integer below 2^53, so the logits and their top-two gaps are
+    # exact in any summation order, on any GEMM kernel. A gap of at most
+    # 4*bound64 leaves the row to its block's recompute.
+    rng = np.random.default_rng(0)
+    model = mlp_init([5, 7, 6], seed=0)
+    model.params[:] = rng.integers(-3, 4, model.params.size)
+    features = rng.integers(-4, 5, (400, 5))
+    w0, w1 = (w.astype(int) for w in model.weights)
+    b0, b1 = (b.astype(int) for b in model.biases)
+    logits = np.maximum(features @ w0 + b0, 0) @ w1 + b1
+    top_two = np.sort(logits, axis=1)[:, -2:]
+    gap = top_two[:, 1] - top_two[:, 0]
+    keep = gap > 0
+    assert np.count_nonzero(keep) > 100
+    bound64 = bound_of(gap[keep].astype(float))
+    predicted, got = metrics._gathered_predictions(model, features[keep].astype(float), bound64)
+    np.testing.assert_array_equal(predicted, logits[keep].argmax(axis=1))
+    assert np.all(got == settled)

@@ -14,6 +14,7 @@ from fedimt.estimator import (
 from fedimt.federation import FlConfig, local_update
 from fedimt.nn import LossSpec, forward, mlp_init
 from conftest import degenerate_dataset
+from reference import lean_probe, reference_estimate_counts, reference_probe_auxiliary
 
 
 def run_degenerate_round(counts, hidden=16, feature_dim=8, offset_scale=1e-3, seed=0, lr=0.01):
@@ -63,13 +64,13 @@ class TestProbeAuxiliary:
         feats = np.abs(np.random.default_rng(2).normal(1.0, 0.2, (6, d)))
         aux = AuxiliarySet(class_features=[feats.copy() for _ in range(q)])
         grads = probe_auxiliary(model, aux, lr=1.0, local_epochs=1, batch_size=1)
-        for cls, g in enumerate(grads.per_class):
-            # uniform softmax: gradient columns are H^T/Q except the target
-            # column, which picks up H^T (1/Q - 1)
-            base = feats.sum(axis=0)
-            for col in range(q):
-                expected = -(base * (1.0 / q - (1.0 if col == cls else 0.0)))
-                np.testing.assert_allclose(g[:, col], expected, rtol=1e-12)
+        # uniform softmax: gradient columns are H^T/Q except the target
+        # column, which picks up H^T (1/Q - 1); summed over the classes,
+        # every column cancels
+        base = feats.sum(axis=0)
+        for cls in range(q):
+            np.testing.assert_allclose(grads.own[cls], -(base * (1.0 / q - 1.0)), rtol=1e-12)
+        np.testing.assert_allclose(grads.class_sum, 0.0, atol=1e-12 * base.max())
 
     def test_identical_inputs_identical_updates(self):
         model, aux = self.make_probe_setup()
@@ -78,7 +79,8 @@ class TestProbeAuxiliary:
         # same inputs and same label column structure only when labels coincide,
         # so compare class 0 probed twice instead
         twice = probe_auxiliary(model, aux, lr=0.01, local_epochs=2, batch_size=8)
-        np.testing.assert_array_equal(grads.per_class[0], twice.per_class[0])
+        np.testing.assert_array_equal(grads.own, twice.own)
+        np.testing.assert_array_equal(grads.class_sum, twice.class_sum)
 
     def test_model_not_mutated(self):
         model, aux = self.make_probe_setup()
@@ -105,8 +107,34 @@ class TestProbeAuxiliary:
         model, aux = self.make_probe_setup()
         a = probe_auxiliary(model, aux, lr=0.01, local_epochs=1, batch_size=4)
         b = probe_auxiliary(model, aux, lr=0.02, local_epochs=3, batch_size=8)
-        for ga, gb in zip(a.per_class, b.per_class):
+        for ga, gb in ((a.own, b.own), (a.class_sum, b.class_sum)):
             np.testing.assert_allclose(gb, ga * (0.02 * 3 / 8) / (0.01 * 1 / 4), rtol=1e-12)
+
+
+@pytest.mark.parametrize("hidden", [1, 128])
+@pytest.mark.parametrize("q", [1, 2, 10, 40])
+def test_probe_keeps_the_reference_diagonal_and_class_sum(q, hidden):
+    # The probe keeps only what the solve reads of the full (Q, s, Q) probe,
+    # so its own-class updates, its class sum and the solve it feeds equal
+    # the reference's bit for bit.
+    rng = np.random.default_rng(q * 1000 + hidden)
+    d = 12
+    model = mlp_init([d, hidden, q], seed=q + hidden)
+    aux = AuxiliarySet(
+        class_features=[rng.normal(0.0, 1.0, (int(rng.integers(1, 20)), d)) for _ in range(q)]
+    )
+    got = probe_auxiliary(model, aux, lr=0.05, local_epochs=2, batch_size=16)
+    per_class = reference_probe_auxiliary(model, aux, lr=0.05, local_epochs=2, batch_size=16)
+    want = lean_probe(per_class, aux.per_class_count.astype(float))
+    for name in ("own", "class_sum", "n_aux"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+    w_new = model.weights[-1] + rng.normal(0.0, 1e-3, model.weights[-1].shape)
+    estimate = estimate_counts(got, model.weights[-1], w_new, 300.0, 3)
+    reference = reference_estimate_counts(per_class, want.n_aux, model.weights[-1], w_new, 300.0, 3)
+    for name in ("counts", "node_estimates", "node_confidences", "used_node_count", "fallback"):
+        np.testing.assert_array_equal(getattr(estimate, name), getattr(reference, name))
 
 
 class TestEstimateCounts:
@@ -116,7 +144,7 @@ class TestEstimateCounts:
         s, q = 3, 2
         own0 = np.array([[0.5, 0.0], [0.3, 0.0], [0.2, 0.0]])
         own1 = np.array([[0.0, 0.4], [0.0, 0.6], [0.0, 0.1]])
-        grads = AuxGradients(per_class=np.stack([own0, own1]), n_aux=np.array([4.0, 4.0]))
+        grads = lean_probe(np.stack([own0, own1]), n_aux=np.array([4.0, 4.0]))
         w = np.zeros((s, q))
         est = estimate_counts(grads, w, w, total_samples=100.0, num_selected=1)
         np.testing.assert_allclose(est.counts, [0.0, 0.0])
@@ -128,7 +156,7 @@ class TestEstimateCounts:
             [[3.0, 0.0], [2.0, 0.0]],
             [[-1.0, 1.0], [-2.0, 1.0]],
         ])
-        grads = AuxGradients(per_class=per_class, n_aux=np.array([1.0, 1.0]))
+        grads = lean_probe(per_class, n_aux=np.array([1.0, 1.0]))
         w_prev = np.zeros((2, 2))
         w_new = np.zeros((2, 2))
         w_new[0, 0] = 100.0  # rhs node 0 = (100 + 300) / 4 = 100
@@ -151,7 +179,7 @@ class TestEstimateCounts:
     def test_counts_clamped_to_range(self):
         rng = np.random.default_rng(0)
         per_class = np.stack([rng.normal(0, 1, (4, 3)) for _ in range(3)])
-        grads = AuxGradients(per_class=per_class, n_aux=np.full(3, 2.0))
+        grads = lean_probe(per_class, n_aux=np.full(3, 2.0))
         est = estimate_counts(
             grads,
             w_prev=np.zeros((4, 3)),
@@ -163,8 +191,7 @@ class TestEstimateCounts:
         assert np.all(est.counts <= 10.0)
 
     def test_all_nodes_skipped_falls_back(self):
-        per_class = np.zeros((2, 3, 2))
-        grads = AuxGradients(per_class=per_class, n_aux=np.array([1.0, 1.0]))
+        grads = lean_probe(np.zeros((2, 3, 2)), n_aux=np.array([1.0, 1.0]))
         est = estimate_counts(grads, np.zeros((3, 2)), np.ones((3, 2)), 80.0, 1)
         assert est.fallback.all()
         np.testing.assert_allclose(est.counts, [40.0, 40.0])
@@ -180,18 +207,17 @@ class TestEstimateCounts:
         delta = np.random.default_rng(5).normal(0, 1e-3, model.weights[-1].shape)
         base = estimate_counts(grads, model.weights[-1], model.weights[-1] + delta, 160.0, 1)
         lam = 7.3
-        scaled = AuxGradients(
-            per_class=lam * grads.per_class, n_aux=grads.n_aux
-        )
+        scaled = AuxGradients(own=lam * grads.own, class_sum=lam * grads.class_sum, n_aux=grads.n_aux)
         rescaled = estimate_counts(
             scaled, model.weights[-1], model.weights[-1] + lam * delta, 160.0, 1
         )
         np.testing.assert_allclose(rescaled.counts, base.counts, rtol=1e-9)
 
     def test_total_samples_precondition(self):
-        grads = AuxGradients(per_class=np.ones((2, 2, 2)), n_aux=np.ones(2))
-        with pytest.raises(ValueError):
-            estimate_counts(grads, np.zeros((2, 2)), np.zeros((2, 2)), 0.0, 1)
+        grads = lean_probe(np.ones((2, 2, 2)), n_aux=np.ones(2))
+        for total in (0.0, np.nan):
+            with pytest.raises(ValueError, match="total_samples"):
+                estimate_counts(grads, np.zeros((2, 2)), np.zeros((2, 2)), total, 1)
 
 
 class TestCountsToRatio:
@@ -234,15 +260,16 @@ class TestOracleCounts:
 
 
 def random_solve_inputs(seed, q, s):
-    """Probe updates and a last-layer delta drawn at random; about one
-    weight in ten has no competing class (other == 0, infinite confidence)."""
+    """(Q, s, Q) probe updates, their n_aux and a last-layer delta drawn at
+    random; about one weight in ten has no competing class (other == 0,
+    infinite confidence)."""
     rng = np.random.default_rng(seed)
     per_class = rng.normal(0.0, 1.0, (q, s, q))
     untouched = rng.random((s, q)) < 0.1
     for p in range(q):
         per_class[np.arange(q) != p, :, p] *= ~untouched[:, p]
     n_aux = rng.integers(1, 200, q).astype(float)
-    return AuxGradients(per_class=per_class, n_aux=n_aux), rng.normal(0.0, 1.0, (s, q))
+    return per_class, n_aux, rng.normal(0.0, 1.0, (s, q))
 
 
 class TestEstimatorProperties:
@@ -255,17 +282,17 @@ class TestEstimatorProperties:
     @settings(max_examples=60, deadline=None)
     def test_relabelling_classes_permutes_counts(self, seed, q, s, data):
         perm = np.array(data.draw(st.permutations(range(q))))
-        aux, delta = random_solve_inputs(seed, q, s)
-        base = estimate_counts(aux, np.zeros((s, q)), delta, 500.0, 4)
+        per_class, n_aux, delta = random_solve_inputs(seed, q, s)
+        base = estimate_counts(lean_probe(per_class, n_aux), np.zeros((s, q)), delta, 500.0, 4)
         # Old class c is new class perm[c], as a probe class and as a column.
-        per_class = np.empty_like(aux.per_class)
-        per_class[np.ix_(perm, np.arange(s), perm)] = aux.per_class
-        n_aux = np.empty(q)
-        n_aux[perm] = aux.n_aux
+        new_per_class = np.empty_like(per_class)
+        new_per_class[np.ix_(perm, np.arange(s), perm)] = per_class
+        new_n_aux = np.empty(q)
+        new_n_aux[perm] = n_aux
         new_delta = np.empty_like(delta)
         new_delta[:, perm] = delta
         relabelled = estimate_counts(
-            AuxGradients(per_class=per_class, n_aux=n_aux), np.zeros((s, q)), new_delta, 500.0, 4
+            lean_probe(new_per_class, new_n_aux), np.zeros((s, q)), new_delta, 500.0, 4
         )
         np.testing.assert_allclose(relabelled.counts[perm], base.counts, rtol=1e-9, atol=1e-9)
         np.testing.assert_array_equal(relabelled.used_node_count[perm], base.used_node_count)
@@ -286,7 +313,7 @@ class TestEstimatorProperties:
         aux = AuxiliarySet(class_features=[rng.normal(0.0, 1.0, (6, 5)) for _ in range(q)])
         delta = rng.normal(0.0, 1.0, (s, q))
         grads = probe_auxiliary(model, aux, lr=1.0, local_epochs=1, batch_size=1)
-        scaled = AuxGradients(per_class=f * grads.per_class, n_aux=grads.n_aux)
+        scaled = AuxGradients(own=f * grads.own, class_sum=f * grads.class_sum, n_aux=grads.n_aux)
         ratios = [
             counts_to_ratio(estimate_counts(g, np.zeros((s, q)), d, 300.0, 3).counts)
             for g, d in ((grads, delta), (scaled, f * delta))
@@ -304,7 +331,8 @@ class TestEstimatorProperties:
     def test_counts_are_finite(self, seed, q, s, total, spread):
         # The final clip bounds the counts to [0, total] but passes a NaN
         # through, so finiteness is what the solve itself must guarantee.
-        aux, delta = random_solve_inputs(seed, q, s)
+        per_class, n_aux, delta = random_solve_inputs(seed, q, s)
+        aux = lean_probe(per_class, n_aux)
         estimate = estimate_counts(aux, np.zeros((s, q)), spread * delta, total, 2)
         assert np.all(np.isfinite(estimate.counts))
 

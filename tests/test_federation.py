@@ -3,10 +3,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fedimt.data import gen_synthetic, make_synthetic_spec
+import fedimt.federation as federation
+from fedimt.data import AuxiliarySet, gen_synthetic, make_synthetic_spec
 from fedimt.federation import (
     _STREAM_MEANS,
     _STREAM_TEST_DATA,
+    FederatedRunner,
     FlConfig,
     _build_datasets,
     aggregate,
@@ -17,13 +19,18 @@ from fedimt.federation import (
     select_clients,
 )
 from fedimt.nn import LossSpec, mlp_init
-from conftest import synthetic_exp_config
+from conftest import make_client, synthetic_exp_config
 
 
 def models_equal(a, b):
     return all(np.array_equal(x, y) for x, y in zip(a.weights, b.weights)) and all(
         np.array_equal(x, y) for x, y in zip(a.biases, b.biases)
     )
+
+
+def loss_check(**spec):
+    """validate() of a three-class LossSpec, to be called later."""
+    return lambda: LossSpec(**spec).validate(3)
 
 
 def max_model_diff(a, b):
@@ -286,6 +293,37 @@ class TestRunner:
         assert len(report.records) == tiny_config.fl.rounds + 1
         assert report.records[-1].t_global is not None
 
+    def test_window_total_is_the_disclosed_sample_count(self, monkeypatch):
+        # The middle client holds fewer samples than n_latest, so its window
+        # is all it has: the solve's total is 30 + 12 + 30, not 3 * 30.
+        rng = np.random.default_rng(0)
+        clients = [
+            make_client(
+                rng.normal(0.0, 1.0, (n, 4)), rng.integers(0, 3, n), client_id=cid,
+                num_classes=3, time_order=rng.permutation(n),
+            )
+            for cid, n in enumerate((40, 12, 50))
+        ]
+        totals = []
+        solve = federation.estimate_counts
+
+        def recording_solve(*args, **kwargs):
+            totals.append(kwargs["total_samples"])
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(federation, "estimate_counts", recording_solve)
+        runner = FederatedRunner(
+            config=FlConfig(num_clients=3, rounds=3, selection_rate=1.0, n_latest=30,
+                            batch_size=8, local_epochs=1, momentum=0.0),
+            clients=clients,
+            model=mlp_init([4, 8, 3], seed=0),
+            seed=0,
+            aux=AuxiliarySet([rng.normal(0.0, 1.0, (5, 4)) for _ in range(3)]),
+        )
+        for _ in range(3):
+            runner.run_round()
+        assert totals == [72.0] * 3
+
     def test_momentum_mode_runs(self, tiny_config):
         tiny_config.fl.momentum = 0.9
         report = run_experiment(tiny_config, seed=1)
@@ -359,6 +397,36 @@ class TestConfigValidation:
     def test_bad_baseline_loss(self):
         with pytest.raises(ValueError):
             FlConfig(num_clients=4, rounds=1, baseline_loss="ghmc").validate()
+
+    @pytest.mark.parametrize(
+        "validate, name",
+        [
+            pytest.param(
+                FlConfig(num_clients=4, rounds=1, strategy="fedprox", prox_mu=np.nan).validate,
+                "prox_mu", id="prox_mu-nan",
+            ),
+            pytest.param(
+                FlConfig(num_clients=4, rounds=1, focal_gamma=np.nan).validate,
+                "focal_gamma", id="focal_gamma-nan",
+            ),
+            pytest.param(loss_check(kind="focal", gamma=np.nan), "gamma", id="gamma-nan"),
+            *(
+                pytest.param(
+                    loss_check(kind="class_balanced", class_weights=[1.0, bad, 1.0]),
+                    "class_weights", id=f"class_weights-{bad}",
+                )
+                for bad in (np.nan, np.inf, -0.5)
+            ),
+            pytest.param(
+                loss_check(kind="class_balanced", per_class_n=[5.0, np.nan, 5.0]),
+                "per_class_n", id="per_class_n-nan",
+            ),
+        ],
+    )
+    def test_nan_and_out_of_range_values_rejected(self, validate, name):
+        # Each rule reads "not x >= bound", so a NaN fails it too.
+        with pytest.raises(ValueError, match=name):
+            validate()
 
 
 class TestDerivedDefaults:

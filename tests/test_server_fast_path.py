@@ -15,17 +15,23 @@ import pytest
 
 import fedimt.federation as federation
 from fedimt.data import AuxiliarySet, ClientDataset
-from fedimt.estimator import AuxGradients, estimate_counts, oracle_counts
+from fedimt.estimator import estimate_counts, oracle_counts
 from fedimt.metrics import EvalSet, evaluate
 from fedimt.nn import MlpModel, mlp_init
 from conftest import make_dataset, synthetic_exp_config
-from reference import reference_estimate_counts, reference_evaluate, reference_window_counts
+from reference import (
+    lean_probe,
+    reference_estimate_counts,
+    reference_evaluate,
+    reference_window_counts,
+)
 
 
 def random_case(rng, q, s):
-    """Probe updates, layer weights and a total with every row kind the
-    solver distinguishes: all nodes usable, some skipped, some infinitely
-    confident (no other class touches the weight), and every node skipped."""
+    """(Q, s, Q) probe updates, their n_aux, layer weights and a total with
+    every row kind the solver distinguishes: all nodes usable, some skipped,
+    some infinitely confident (no other class touches the weight), and every
+    node skipped."""
     per_class = rng.normal(0.0, 1.0, (q, s, q))
     for p in range(q):
         kind = rng.integers(5)
@@ -53,7 +59,7 @@ def random_case(rng, q, s):
     w_new = w_prev + rng.normal(0.0, 0.5, (s, q))
     n_aux = rng.integers(1, 200, q).astype(float)
     total = float(rng.integers(1, 5000))
-    return AuxGradients(per_class=per_class, n_aux=n_aux), w_prev, w_new, total
+    return per_class, n_aux, w_prev, w_new, total
 
 
 def assert_estimates_equal(got, want):
@@ -70,10 +76,10 @@ def test_estimate_counts_matches_per_class_loop(q):
     seen = {"full": 0, "skipped": 0, "infinite": 0, "fallback": 0}
     for _ in range(60):
         s = int(rng.integers(1, 65))
-        aux, w_prev, w_new, total = random_case(rng, q, s)
+        per_class, n_aux, w_prev, w_new, total = random_case(rng, q, s)
         num_selected = int(rng.integers(1, 20))
-        got = estimate_counts(aux, w_prev, w_new, total, num_selected)
-        want = reference_estimate_counts(aux, w_prev, w_new, total, num_selected)
+        got = estimate_counts(lean_probe(per_class, n_aux), w_prev, w_new, total, num_selected)
+        want = reference_estimate_counts(per_class, n_aux, w_prev, w_new, total, num_selected)
         assert_estimates_equal(got, want)
         infinite = np.isinf(got.node_confidences).any(axis=1)
         seen["full"] += int(np.sum((got.used_node_count == s) & ~infinite))
