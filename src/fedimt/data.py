@@ -192,10 +192,12 @@ def load_idx(images_path: str, labels_path: str) -> Dataset:
     (n_lab,) = _read_idx_header(raw_lab, labels_path, IDX_LABEL_MAGIC, 1)
     if n != n_lab:
         raise ValueError(f"image count {n} != label count {n_lab}")
-    if len(raw_img) != 16 + n * rows * cols:
-        raise ValueError(f"{images_path}: truncated image payload")
-    if len(raw_lab) != 8 + n:
-        raise ValueError(f"{labels_path}: truncated label payload")
+    for path, kind, payload, expected in (
+        (images_path, "image", len(raw_img) - 16, n * rows * cols),
+        (labels_path, "label", len(raw_lab) - 8, n),
+    ):
+        if payload != expected:
+            raise ValueError(f"{path}: {kind} payload has {payload} bytes, expected {expected}")
     pixels = np.frombuffer(raw_img, dtype=np.uint8, offset=16).astype(float) / 255.0
     labels = np.frombuffer(raw_lab, dtype=np.uint8, offset=8).astype(int)
     return Dataset(

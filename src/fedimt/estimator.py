@@ -114,10 +114,7 @@ def estimate_counts(
         raise ValueError("total_samples must be > 0")
     own = aux_grads.own
     q_total, s = own.shape
-    if q_total > 1:
-        other = (aux_grads.class_sum.T - own) / (q_total - 1)
-    else:
-        other = np.zeros((q_total, s))
+    other = (aux_grads.class_sum.T - own) / max(q_total - 1, 1)  # +0.0 when Q = 1
     # other == 0 with own != 0 means no competing class touches this
     # weight: the equation collapses to own * x = rhs and the node is
     # maximally confident rather than skippable.

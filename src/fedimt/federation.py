@@ -88,8 +88,7 @@ class FlConfig:
     n_latest: int | None = None
     drop_threshold: float = 0.5
     beta: float = 0.999
-    baseline_loss: str = "plain_ce"  # loss for algorithm=baseline: plain_ce | focal
-    focal_gamma: float = 2.0
+    baseline_loss: str = "plain_ce"  # loss for algorithm=baseline: plain_ce | focal (gamma 2)
 
     def __post_init__(self) -> None:
         if self.lr is None:  # the latest-window scheme trains on fresher data, so it steps further
@@ -128,8 +127,6 @@ class FlConfig:
             raise ValueError("beta must be in [0, 1)")
         if self.baseline_loss not in ("plain_ce", "focal"):
             raise ValueError(f"baseline_loss must be plain_ce or focal, got {self.baseline_loss!r}")
-        if not self.focal_gamma >= 0.0:
-            raise ValueError("focal_gamma must be >= 0")
 
 
 @dataclass
@@ -294,21 +291,17 @@ class FederatedRunner:
         if self._tracking:
             if self.aux is None:
                 raise ValueError("fedimt needs an auxiliary set")
-            self.observer = observer_init(
-                self.num_classes,
-                gain=self.config.selection_rate,
-                drop_threshold=self.config.drop_threshold,
-            )
-            self._n_ref = float(max(self.num_classes, sum(c.total_count for c in self.clients)))
+            self.observer = observer_init(self.num_classes, gain=self.config.selection_rate)
             # The ground truth behind T_G: every client's labels in arrival
             # order, laid end to end, the stream window_positions indexes.
             self._label_stream = np.concatenate(
                 [c.dataset.labels[c.dataset.time_order] for c in self.clients]
             )
             self._client_sizes = np.array([c.total_count for c in self.clients])
+            self.loss_spec = self._balanced_loss(self._client_sizes.sum())
         else:
             self.observer = None
-        self.loss_spec = self._build_loss_spec()
+            self.loss_spec = LossSpec(kind=self.config.baseline_loss)
         self._adopt(self.model)
 
     def _adopt(self, model: MlpModel) -> None:
@@ -319,12 +312,13 @@ class FederatedRunner:
         self._probe: AuxGradients | None = None
         self._evaluation: tuple[float, float | None] | None = None
 
-    def _build_loss_spec(self) -> LossSpec:
-        if not self._tracking:
-            return LossSpec(kind=self.config.baseline_loss, gamma=self.config.focal_gamma)
+    def _balanced_loss(self, n_ref: float) -> LossSpec:
+        """Class-balanced loss from the tracked ratio, scaled to n_ref samples
+        (at least one per class)."""
+        n_ref = max(float(self.num_classes), float(n_ref))
         return LossSpec(
             kind="class_balanced",
-            class_weights=balanced_weights(self.observer.ratio, self._n_ref, self.config.beta),
+            class_weights=balanced_weights(self.observer.ratio, n_ref, self.config.beta),
         )
 
     def _client_scope(self, client: ClientDataset, round_index: int) -> Dataset:
@@ -398,13 +392,12 @@ class FederatedRunner:
                     candidate, total, len(updates)
                 )
                 if self.observer.round_count >= 1:
-                    decision = mismatch_check(self.observer, rec.round_ratio)
+                    decision = mismatch_check(self.observer, rec.round_ratio, self.config.drop_threshold)
                     rec.dropped, rec.drop_similarity = decision.dropped, decision.similarity
                 self.observer = observer_update(self.observer, rec.round_ratio)
                 if not rec.dropped:
                     self._adopt(candidate)
-                self._n_ref = max(float(self.num_classes), total)
-                self.loss_spec = self._build_loss_spec()
+                self.loss_spec = self._balanced_loss(total)
             else:
                 self._adopt(candidate)
 
@@ -432,10 +425,7 @@ def minority_classes_of(train_counts: Array) -> Array:
 def _build_datasets(config: "ExperimentConfig", seed: int) -> tuple[Dataset, Dataset]:
     if config.data_source == "idx":
         train = load_idx(config.idx_images, config.idx_labels)
-        test = load_idx(config.idx_test_images, config.idx_test_labels)
-        if test.num_classes < train.num_classes:
-            test.num_classes = train.num_classes
-        return train, test
+        return train, load_idx(config.idx_test_images, config.idx_test_labels)
     spec = make_synthetic_spec(**config.synthetic, seed=derive_seed(seed, _STREAM_MEANS))
     train = gen_synthetic(spec, derive_seed(seed, _STREAM_TRAIN_DATA))
     # Each class's test_fraction share, rounded half to even; a non-empty class keeps one.

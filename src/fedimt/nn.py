@@ -199,10 +199,9 @@ def forward(model: MlpModel, batch: Array) -> Activations:
 
 
 def effective_number_weight(n: Array | float, beta: float) -> Array:
-    """Per-class weight (1-beta)/(1-beta^n); equals 1 when beta = 0 or n = 1."""
+    """Per-class weight (1-beta)/(1-beta^n) for counts n >= 1; equals 1 when
+    beta = 0 or n = 1."""
     n = np.asarray(n, dtype=float)
-    if beta == 0.0:
-        return np.ones_like(n)
     return (1.0 - beta) / (1.0 - np.power(beta, n))
 
 

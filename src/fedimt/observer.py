@@ -2,7 +2,8 @@
 
 Blends each round's fresh composition estimate into a running state with a
 fixed gain (the client selection rate), decides whether a round's estimate
-mismatches history badly enough to drop its aggregation, and converts the
+mismatches history badly enough to drop its aggregation (its cosine to the
+tracked ratio below the threshold the caller passes), and converts the
 tracked ratio into per-class loss weights via effective numbers.
 """
 
@@ -22,7 +23,6 @@ class RatioObserverState:
     ratio: Array  # current tracked class ratio, sums to 1
     round_count: int
     gain: float
-    drop_threshold: float
 
 
 @dataclass
@@ -44,18 +44,13 @@ def cosine_similarity(a: Array, b: Array) -> float:
     return float(np.dot(a, b) / (na * nb))
 
 
-def observer_init(num_classes: int, gain: float, drop_threshold: float = 0.5) -> RatioObserverState:
+def observer_init(num_classes: int, gain: float) -> RatioObserverState:
     """Fresh observer starting from the uniform ratio 1/Q."""
     if num_classes < 2:
         raise ValueError("observer needs at least 2 classes")
     if not 0.0 < gain <= 1.0:
         raise ValueError(f"gain must be in (0, 1], got {gain}")
-    return RatioObserverState(
-        ratio=np.full(num_classes, 1.0 / num_classes),
-        round_count=0,
-        gain=gain,
-        drop_threshold=drop_threshold,
-    )
+    return RatioObserverState(ratio=np.full(num_classes, 1.0 / num_classes), round_count=0, gain=gain)
 
 
 def _check_ratio(state: RatioObserverState, r_j: Array) -> Array:
@@ -83,22 +78,18 @@ def observer_update(state: RatioObserverState, r_j: Array) -> RatioObserverState
     else:
         raw = (1.0 - state.gain) / 2.0 * state.ratio + state.gain / 2.0 * r_j
         new_ratio = raw / raw.sum()
-    return RatioObserverState(
-        ratio=new_ratio,
-        round_count=state.round_count + 1,
-        gain=state.gain,
-        drop_threshold=state.drop_threshold,
-    )
+    return RatioObserverState(ratio=new_ratio, round_count=state.round_count + 1, gain=state.gain)
 
 
-def mismatch_check(state: RatioObserverState, r_j: Array) -> DropDecision:
+def mismatch_check(state: RatioObserverState, r_j: Array, threshold: float) -> DropDecision:
     """Drop when the fresh estimate's cosine to the tracked ratio falls below
-    the threshold. Never called before the first observation exists."""
+    threshold (the run's drop_threshold). Never called before the first
+    observation exists."""
     if state.round_count < 1:
         raise ValueError("mismatch_check requires at least one prior observation")
     r_j = _check_ratio(state, r_j)
     similarity = cosine_similarity(r_j, state.ratio)
-    return DropDecision(dropped=similarity < state.drop_threshold, similarity=similarity)
+    return DropDecision(dropped=similarity < threshold, similarity=similarity)
 
 
 def balanced_weights(ratio: Array, n_ref: float, beta: float) -> Array:

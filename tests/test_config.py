@@ -59,6 +59,12 @@ class TestSurface:
         with pytest.raises(ConfigError, match=r"7: unknown key 'skip_eval'"):
             parse_config(path)
 
+    def test_focal_gamma_is_not_a_key(self, tmp_path):
+        # The focal baseline's gamma is LossSpec's default 2.
+        path = write_cfg(tmp_path, MINIMAL + "focal_gamma = 2\n")
+        with pytest.raises(ConfigError, match=r"exp\.cfg:7: unknown key 'focal_gamma'"):
+            parse_config(path)
+
     def test_whole_config_echo(self, tmp_path):
         # every key the report echoes, with its default
         cfg = parse_config(write_cfg(tmp_path, MINIMAL))
@@ -84,7 +90,6 @@ class TestSurface:
             "drop_threshold": 0.5,
             "beta": 0.999,
             "baseline_loss": "plain_ce",
-            "focal_gamma": 2.0,
             "aux_idx_images": None,
             "aux_idx_labels": None,
             "seed": 0,
@@ -108,7 +113,6 @@ FLOAT_KEYS = (
     "prox_mu",
     "drop_threshold",
     "beta",
-    "focal_gamma",
     "test_fraction",
 )
 

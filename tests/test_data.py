@@ -184,8 +184,27 @@ class TestIdx:
         ds = make_dataset(np.zeros((4, 3)), [0, 1, 0, 1], num_classes=2)
         write_idx(ds, str(img), str(lab))
         img.write_bytes(img.read_bytes()[:-2])
-        with pytest.raises(ValueError, match="truncated"):
+        with pytest.raises(ValueError, match="image payload has 10 bytes, expected 12"):
             load_idx(str(img), str(lab))
+
+    @pytest.mark.parametrize(
+        "which, extra, message",
+        [
+            ("img", 7, "image payload has 19 bytes, expected 12"),
+            ("lab", -1, "label payload has 3 bytes, expected 4"),
+            ("lab", 1, "label payload has 5 bytes, expected 4"),
+        ],
+    )
+    def test_payload_size_mismatch_reports_both_sizes(self, tmp_path, which, extra, message):
+        # A file too long is as wrong as one too short (test_truncated_payload
+        # covers a short image file), and neither is "truncated".
+        files = {"img": tmp_path / "img.idx", "lab": tmp_path / "lab.idx"}
+        ds = make_dataset(np.zeros((4, 3)), [0, 1, 0, 1], num_classes=2)
+        write_idx(ds, str(files["img"]), str(files["lab"]))
+        raw = files[which].read_bytes()
+        files[which].write_bytes(raw[:extra] if extra < 0 else raw + bytes(extra))
+        with pytest.raises(ValueError, match=f"{which}.idx: {message}$"):
+            load_idx(str(files["img"]), str(files["lab"]))
 
 
 class TestShardPartition:

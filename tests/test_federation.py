@@ -5,7 +5,9 @@ import pytest
 
 import fedimt.federation as federation
 from fedimt.data import AuxiliarySet, gen_synthetic, make_synthetic_spec
+from fedimt.estimator import counts_to_ratio, oracle_counts
 from fedimt.federation import (
+    _STREAM_CLIENT,
     _STREAM_MEANS,
     _STREAM_TEST_DATA,
     FederatedRunner,
@@ -15,10 +17,13 @@ from fedimt.federation import (
     build_runner,
     derive_seed,
     local_update,
+    minority_classes_of,
     run_experiment,
     select_clients,
 )
+from fedimt.metrics import write_metrics
 from fedimt.nn import LossSpec, mlp_init
+from fedimt.observer import balanced_weights
 from conftest import make_client, synthetic_exp_config
 
 
@@ -324,6 +329,77 @@ class TestRunner:
             runner.run_round()
         assert totals == [72.0] * 3
 
+    @pytest.mark.parametrize("n_latest", [None, 20])
+    def test_each_client_trains_on_its_own_stream(self, tiny_config, monkeypatch, n_latest):
+        # Client cid's round-j update is the single-client update seeded
+        # derive_seed(seed, _STREAM_CLIENT, j, cid), whichever clients share the round.
+        tiny_config.fl.n_latest = n_latest
+        runner = build_runner(tiny_config, seed=7)
+        calls = []
+        train = federation.local_update
+
+        def recording_update(*args):
+            calls.append(train(*args))
+            return calls[-1]
+
+        monkeypatch.setattr(federation, "local_update", recording_update)
+        for j in range(2):
+            model, spec = runner.model.copy(), runner.loss_spec
+            calls.clear()
+            record = runner.run_round()
+            (updates,) = calls
+            assert [u.client_id for u in updates] == record.selected_clients
+            for u in updates:
+                scope = runner._client_scope(runner.clients[u.client_id], j)
+                alone = train(
+                    u.client_id, scope.features, scope.labels, model, tiny_config.fl, spec,
+                    derive_seed(7, _STREAM_CLIENT, j, u.client_id),
+                )
+                assert max_model_diff(u.model, alone.model) <= 1e-12
+
+    @pytest.mark.parametrize("n_latest", [None, 20])
+    def test_round_truth_is_the_selected_clients_counts(self, tiny_config, n_latest):
+        # An estimate equal to the selected clients' in-scope counts scores
+        # T_j = 1, however far those counts are from the whole population's.
+        tiny_config.fl.n_latest = n_latest
+        runner = build_runner(tiny_config, seed=8)
+        for j in range(3):
+            selected = select_clients(
+                tiny_config.fl.num_clients, tiny_config.fl.selection_rate, j, seed=8
+            )
+            counts = oracle_counts(
+                [runner._client_scope(runner.clients[cid], j).labels for cid in selected],
+                runner.num_classes,
+            )
+            runner._estimate_round_ratio = lambda c, t, k: (counts, counts_to_ratio(counts))
+            assert runner.run_round().t_round == pytest.approx(1.0, abs=1e-12)
+
+    def test_loss_weights_follow_the_round_total(self, tiny_config):
+        # The next round's class weights scale the tracked ratio to the
+        # round's disclosed sample total, at least one sample per class.
+        rng = np.random.default_rng(0)
+        tiny_clients = FederatedRunner(
+            config=FlConfig(num_clients=3, rounds=4, selection_rate=0.34, batch_size=8,
+                            local_epochs=1, momentum=0.0),
+            clients=[
+                make_client(rng.normal(0.0, 1.0, (n, 4)), np.arange(n) % 4, client_id=cid,
+                            num_classes=4)
+                for cid, n in enumerate((2, 1, 40))
+            ],
+            model=mlp_init([4, 8, 4], seed=0),
+            seed=0,
+            aux=AuxiliarySet([rng.normal(0.0, 1.0, (5, 4)) for _ in range(4)]),
+        )
+        for runner in (build_runner(tiny_config, seed=9), tiny_clients):
+            beta, q = runner.config.beta, runner.num_classes
+            for _ in range(runner.config.rounds):
+                record = runner.run_round()
+                total = sum(runner.clients[cid].total_count for cid in record.selected_clients)
+                np.testing.assert_array_equal(
+                    runner.loss_spec.class_weights,
+                    balanced_weights(runner.observer.ratio, max(q, total), beta),
+                )
+
     def test_momentum_mode_runs(self, tiny_config):
         tiny_config.fl.momentum = 0.9
         report = run_experiment(tiny_config, seed=1)
@@ -362,6 +438,31 @@ class TestRunner:
         runner = build_runner(tiny_config, seed=0)
         assert runner.aux.num_classes == params["classes"]
         np.testing.assert_array_equal(runner.aux.per_class_count, [6] * params["classes"])
+
+
+class TestMinorityClasses:
+    @pytest.mark.parametrize(
+        "counts, minority",
+        [
+            ([1676, 324], [1]),
+            ([3, 6, 9], [0]),  # the class at the mean is not a minority
+            ([5, 5, 5], []),
+        ],
+    )
+    def test_strictly_below_the_mean_count(self, counts, minority):
+        np.testing.assert_array_equal(minority_classes_of(counts), minority)
+
+    def test_balanced_preset_reports_no_minority_accuracy(self, tmp_path):
+        from fedimt.config import parse_config
+
+        cfg = tmp_path / "har.cfg"
+        cfg.write_text("data = synthetic\npreset = har\nnum_clients = 6\nrounds = 2\n")
+        report = run_experiment(parse_config(str(cfg)), seed=0)
+        assert all(rec.minority_accuracy is None for rec in report.records)
+        write_metrics(report, str(tmp_path / "r.csv"), str(tmp_path / "r.json"))
+        header, *rows = (tmp_path / "r.csv").read_text().splitlines()
+        column = header.split(",").index("acc_minority")
+        assert [row.split(",")[column] for row in rows] == [""] * 3
 
 
 class TestBuildDatasets:
@@ -404,10 +505,6 @@ class TestConfigValidation:
             pytest.param(
                 FlConfig(num_clients=4, rounds=1, strategy="fedprox", prox_mu=np.nan).validate,
                 "prox_mu", id="prox_mu-nan",
-            ),
-            pytest.param(
-                FlConfig(num_clients=4, rounds=1, focal_gamma=np.nan).validate,
-                "focal_gamma", id="focal_gamma-nan",
             ),
             pytest.param(loss_check(kind="focal", gamma=np.nan), "gamma", id="gamma-nan"),
             *(

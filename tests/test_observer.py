@@ -132,36 +132,35 @@ class TestObserverUpdate:
 
 
 class TestMismatchCheck:
-    def warmed(self, ratio, gain=0.3, tau=0.5):
-        state = observer_init(len(ratio), gain=gain, drop_threshold=tau)
-        return observer_update(state, np.asarray(ratio, dtype=float))
+    def warmed(self, ratio):
+        return observer_update(observer_init(len(ratio), gain=0.3), np.asarray(ratio, dtype=float))
 
     def test_identical_never_dropped(self):
         state = self.warmed([0.6, 0.4])
-        decision = mismatch_check(state, np.array([0.6, 0.4]))
+        decision = mismatch_check(state, np.array([0.6, 0.4]), 0.5)
         assert decision.similarity == pytest.approx(1.0)
         assert not decision.dropped
 
     def test_orthogonal_always_dropped(self):
-        state = self.warmed([1.0, 0.0], tau=0.1)
-        decision = mismatch_check(state, np.array([0.0, 1.0]))
+        state = self.warmed([1.0, 0.0])
+        decision = mismatch_check(state, np.array([0.0, 1.0]), 0.1)
         assert decision.similarity == pytest.approx(0.0)
         assert decision.dropped
 
     def test_zero_threshold_disables_dropping(self):
-        state = self.warmed([1.0, 0.0], tau=0.0)
-        decision = mismatch_check(state, np.array([0.0, 1.0]))
+        state = self.warmed([1.0, 0.0])
+        decision = mismatch_check(state, np.array([0.0, 1.0]), 0.0)
         assert not decision.dropped
 
     def test_non_finite_rejected(self):
         state = self.warmed([0.2, 0.3, 0.5])
         with pytest.raises(ValueError):
-            mismatch_check(state, [np.nan] * 3)
+            mismatch_check(state, [np.nan] * 3, 0.5)
 
     def test_requires_prior_observation(self):
         state = observer_init(2, gain=0.3)
         with pytest.raises(ValueError):
-            mismatch_check(state, np.array([0.5, 0.5]))
+            mismatch_check(state, np.array([0.5, 0.5]), 0.5)
 
 
 class TestBalancedWeights:
