@@ -17,8 +17,9 @@ import numpy as np
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
+from fedimt.cli import seed_list
 from fedimt.config import parse_config
-from fedimt.federation import run_experiment
+from fedimt.federation import derive_seed, run_experiment
 
 DEFAULT_CONFIG = os.path.join(os.path.dirname(__file__), "..", "configs", "estimation_10class.cfg")
 
@@ -26,11 +27,16 @@ DEFAULT_CONFIG = os.path.join(os.path.dirname(__file__), "..", "configs", "estim
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--config", default=DEFAULT_CONFIG)
-    parser.add_argument("--seeds", default="0,1,2", help="comma-separated seeds")
+    parser.add_argument("--seeds", type=seed_list, default="0,1,2", help="comma-separated seeds")
     parser.add_argument("--settle", type=int, default=10, help="first round included in averages")
     args = parser.parse_args()
 
-    seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
+    seeds = args.seeds
+    for seed in seeds:  # reject a bad seed before the first run
+        try:
+            derive_seed(seed)
+        except ValueError as exc:
+            sys.exit(f"error: {exc}")
     print(f"{'seed':>4} {'mean T_j':>9} {'mean T_G':>9} {'min T_G':>8} {'drops':>6}")
     tj_all, tg_all = [], []
     for seed in seeds:

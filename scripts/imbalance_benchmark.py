@@ -16,8 +16,9 @@ import numpy as np
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
+from fedimt.cli import seed_list
 from fedimt.config import parse_config
-from fedimt.federation import run_experiment
+from fedimt.federation import derive_seed, run_experiment
 
 DEFAULT_CONFIG = os.path.join(os.path.dirname(__file__), "..", "configs", "ford_imbalance.cfg")
 
@@ -31,11 +32,16 @@ ARMS = {
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--config", default=DEFAULT_CONFIG)
-    parser.add_argument("--seeds", default="0,1,2", help="comma-separated seeds")
+    parser.add_argument("--seeds", type=seed_list, default="0,1,2", help="comma-separated seeds")
     parser.add_argument("--strategy", default=None, help="override aggregation strategy")
     args = parser.parse_args()
 
-    seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
+    seeds = args.seeds
+    for seed in seeds:  # reject a bad seed before the first run
+        try:
+            derive_seed(seed)
+        except ValueError as exc:
+            sys.exit(f"error: {exc}")
     results: dict[str, dict[int, tuple[float, float]]] = {arm: {} for arm in ARMS}
     for arm, overrides in ARMS.items():
         for seed in seeds:

@@ -122,7 +122,7 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
     return 0
 
 
-def _seed_list(text: str) -> list[int]:
+def seed_list(text: str) -> list[int]:
     """'0,1,2' -> [0, 1, 2]; no seed, or a part that is not an integer, is a usage error."""
     try:
         seeds = [int(part) for part in text.split(",") if part.strip()]
@@ -147,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser("sweep", help="repeat over seeds and aggregate")
     sweep.add_argument("--config", required=True, help="experiment config file")
-    sweep.add_argument("--seeds", type=_seed_list, default=None, help="comma-separated seeds")
+    sweep.add_argument("--seeds", type=seed_list, default=None, help="comma-separated seeds")
     sweep.set_defaults(func=cmd_sweep)
 
     est = sub.add_parser(

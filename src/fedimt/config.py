@@ -6,7 +6,8 @@ default are declared once, as a field of FlConfig or ExperimentConfig, as a
 parameter of make_synthetic_spec (the generator keys) or in _DATA_SOURCE_KEYS,
 and SCHEMA is derived from them.
 Exactly one data source (synthetic generator or IDX files) must be
-configured, and referenced files must exist at parse time.
+configured, and referenced files must exist at parse time. Every other rule
+is ExperimentConfig.validate's, and parse_config names the rejected key's line.
 """
 
 from __future__ import annotations
@@ -63,6 +64,9 @@ _GENERATOR_KEYS = {
     key: (p.annotation, None if p.default is p.empty else p.default) for key, p in _GENERATOR.items()
 }
 _IDX_KEYS = ("idx_images", "idx_labels", "idx_test_images", "idx_test_labels")
+# The keys that only one data source reads (_build_datasets ignores
+# test_fraction for IDX files); a config may not set the other source's.
+_SOURCE_KEYS = {"synthetic": ("preset", *_GENERATOR, "test_fraction"), "idx": _IDX_KEYS}
 # ExperimentConfig fields that no config key fills by name.
 _NOT_KEYS = ("fl", "data_source", "synthetic", "skip_eval")
 
@@ -92,14 +96,22 @@ class ExperimentConfig:
         if self.aux_per_class is None:
             self.aux_per_class = 4 * self.fl.batch_size
 
-    def validate(self) -> None:  # the generator keys' rules are SyntheticSpec.validate's
+    def validate(self) -> None:
+        """Every rule a config must meet, parsed or built in code. Each
+        message starts with the key it concerns."""
         self.fl.validate()
-        for seed in (self.seed, *(self.seeds or ())):
-            derive_seed(seed)
-        if self.data_source not in ("synthetic", "idx"):
+        for key, seeds in (("seed", [self.seed]), ("seeds", self.seeds or [])):
+            for seed in seeds:
+                derive_seed(seed, key=key)
+        if self.data_source not in _SOURCE_KEYS:
             raise ConfigError(f"data must be 'synthetic' or 'idx', got {self.data_source!r}")
-        if self.data_source == "synthetic" and self.synthetic is None:
-            raise ConfigError("synthetic data source needs classes/feature_dim/class_counts")
+        if self.data_source == "synthetic":
+            given = self.synthetic or {}
+            missing = [k for k, p in _GENERATOR.items() if p.default is p.empty and k not in given]
+        else:
+            missing = [k for k in _IDX_KEYS if getattr(self, k) is None]
+        if missing:
+            raise ConfigError(f"data = {self.data_source} needs keys {missing}")
         if not 0.0 < self.test_fraction <= 1.0:
             raise ConfigError("test_fraction must be in (0, 1]")
         if self.shards_per_client < 1:
@@ -109,7 +121,18 @@ class ExperimentConfig:
         if not self.hidden_sizes or any(h < 1 for h in self.hidden_sizes):
             raise ConfigError("hidden_sizes must be positive")
         if (self.aux_idx_images is None) != (self.aux_idx_labels is None):
-            raise ConfigError("aux_idx_images and aux_idx_labels must be set together")
+            given = "aux_idx_labels" if self.aux_idx_images is None else "aux_idx_images"
+            raise ConfigError(f"{given} is set alone: aux_idx_images and aux_idx_labels must be set together")
+        if self.data_source == "synthetic":
+            make_synthetic_spec(**self.synthetic).validate()
+            # The training split holds class_counts' samples, and
+            # shard_partition needs one for every shard.
+            n, n_shards = sum(self.synthetic["class_counts"]), self.fl.num_clients * self.shards_per_client
+            if n < n_shards:
+                raise ConfigError(
+                    f"class_counts hold {n} samples, too few for num_clients x "
+                    f"shards_per_client = {n_shards} shards"
+                )
 
     def to_dict(self) -> dict:
         """The report's flat config echo: every parsed key but `preset`, the
@@ -169,6 +192,10 @@ def _read_pairs(path: str) -> dict[str, tuple[str, int]]:
 
 def parse_config(path: str) -> ExperimentConfig:
     pairs = _read_pairs(path)
+
+    def where(key: str) -> str:
+        return f"{path}:{pairs[key][1]}" if key in pairs else path
+
     values: dict = {}
     for key, (parser, default) in SCHEMA.items():
         if key not in pairs:
@@ -176,67 +203,36 @@ def parse_config(path: str) -> ExperimentConfig:
                 raise ConfigError(f"{path}: missing required key {key!r}")
             values[key] = default
             continue
-        text, lineno = pairs[key]
         try:
-            values[key] = parser(text)
+            values[key] = parser(pairs[key][0])
         except ValueError as exc:
-            raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from exc
+            raise ConfigError(f"{where(key)}: bad value for {key!r}: {exc}") from exc
 
-    synthetic = None
-    if values["data"] == "synthetic":
-        if values["preset"] is not None:
-            if values["preset"] not in PRESETS:
-                lineno = pairs["preset"][1]
-                raise ConfigError(
-                    f"{path}:{lineno}: unknown preset {values['preset']!r} "
-                    f"(choose from {sorted(PRESETS)})"
-                )
-            for key, preset_value in PRESETS[values["preset"]].items():
-                if key not in pairs:
-                    values[key] = preset_value
-        missing = [k for k, p in _GENERATOR.items() if p.default is p.empty and values[k] is None]
-        if missing:
-            raise ConfigError(f"{path}: synthetic data source needs keys {missing}")
-        synthetic = {k: values[k] for k in _GENERATOR}
-        set_idx = [k for k in _IDX_KEYS if values[k] is not None]
-        if set_idx:
-            raise ConfigError(f"{path}: synthetic data source conflicts with keys {set_idx}")
-    elif values["data"] == "idx":
-        missing = [k for k in _IDX_KEYS if values[k] is None]
-        if missing:
-            raise ConfigError(f"{path}: idx data source needs keys {missing}")
-
+    other = {"synthetic": "idx", "idx": "synthetic"}.get(values["data"])
+    stray = [key for key in pairs if key in _SOURCE_KEYS.get(other, ())]
+    if stray:
+        raise ConfigError(f"{where(stray[0])}: {stray[0]} needs data = {other}")
+    preset = values["preset"]
+    if preset is not None:
+        if preset not in PRESETS:
+            raise ConfigError(f"{where('preset')}: unknown preset {preset!r} (choose from {sorted(PRESETS)})")
+        values.update((key, value) for key, value in PRESETS[preset].items() if key not in pairs)
     for key in (*_IDX_KEYS, "aux_idx_images", "aux_idx_labels"):
         if values[key] is not None and not os.path.exists(values[key]):
-            lineno = pairs[key][1]
-            raise ConfigError(f"{path}:{lineno}: file not found: {values[key]}")
+            raise ConfigError(f"{where(key)}: file not found: {values[key]}")
 
     def build(cls, **rest):
         return cls(**{key: values[key] for key in _DECLARED[cls]}, **rest)
 
+    synthetic = {k: values[k] for k in _GENERATOR if values[k] is not None}
     config = build(
         ExperimentConfig,
         fl=build(FlConfig),
         data_source=values["data"],
-        synthetic=synthetic,
+        synthetic=synthetic if values["data"] == "synthetic" else None,
     )
     try:
         config.validate()
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-    if synthetic is not None:
-        try:  # the generator's own checks, so each rule keeps one home
-            make_synthetic_spec(**synthetic).validate()
-            # The training split holds class_counts' samples, and
-            # shard_partition needs one for every shard.
-            n, n_shards = sum(synthetic["class_counts"]), config.fl.num_clients * config.shards_per_client
-            if n < n_shards:
-                raise ValueError(
-                    f"class_counts hold {n} samples, too few for num_clients x "
-                    f"shards_per_client = {n_shards} shards"
-                )
-        except ValueError as exc:
-            # Each message starts with the key it concerns; name that key's line.
-            lineno = pairs.get(str(exc).partition(" ")[0], (None, None))[1]
-            raise ConfigError(f"{path}:{lineno}: {exc}" if lineno else f"{path}: {exc}") from exc
+    except ValueError as exc:  # each message starts with its key; name that key's line
+        raise ConfigError(f"{where(str(exc).partition(' ')[0])}: {exc}") from exc
     return config

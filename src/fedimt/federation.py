@@ -66,10 +66,11 @@ _STREAM_SELECT = 17
 _STREAM_CLIENT = 18
 
 
-def derive_seed(seed: int, *tags: int) -> tuple[int, ...]:
-    """Flat integer tuple usable as a numpy SeedSequence entropy."""
+def derive_seed(seed: int, *tags: int, key: str = "seed") -> tuple[int, ...]:
+    """Flat integer tuple usable as a numpy SeedSequence entropy; a negative
+    seed is rejected under the config key `key`."""
     if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+        raise ValueError(f"{key} must be >= 0, got {seed}")
     return (int(seed), *tags)
 
 
@@ -112,13 +113,13 @@ class FlConfig:
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError("momentum must be in [0, 1)")
         if self.strategy not in STRATEGIES:
-            raise ValueError(f"unknown strategy {self.strategy!r}")
+            raise ValueError(f"strategy must be one of {', '.join(STRATEGIES)}, got {self.strategy!r}")
         if not self.prox_mu >= 0.0:
             raise ValueError("prox_mu must be >= 0")
         if self.prox_mu > 0.0 and self.strategy != "fedprox":
             raise ValueError(f"prox_mu needs strategy fedprox, got {self.strategy!r}")
         if self.algorithm not in ALGORITHMS:
-            raise ValueError(f"unknown algorithm {self.algorithm!r}")
+            raise ValueError(f"algorithm must be one of {', '.join(ALGORITHMS)}, got {self.algorithm!r}")
         if self.n_latest is not None and self.n_latest < 1:
             raise ValueError("n_latest must be >= 1 when set")
         if not 0.0 <= self.drop_threshold <= 1.0:

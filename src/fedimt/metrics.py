@@ -385,18 +385,33 @@ def report_csv_lines(report) -> list[str]:
 
 
 def write_metrics(report, csv_path: str, json_path: str) -> None:
-    """Write the per-round CSV and the lossless JSON mirror."""
+    """Write the per-round CSV and the lossless JSON mirror. Both texts are
+    built first, so a report with a non-finite value writes neither file."""
+    data = report_to_dict(report)
     try:
-        with open(csv_path, "w", encoding="utf-8", newline="") as f:
-            f.write("\n".join(report_csv_lines(report)) + "\n")
-    except OSError as exc:
-        raise OSError(f"cannot write CSV to {csv_path}: {exc}") from exc
-    try:
-        with open(json_path, "w", encoding="utf-8", newline="") as f:
-            json.dump(report_to_dict(report), f, indent=2, sort_keys=True)
-            f.write("\n")
-    except OSError as exc:
-        raise OSError(f"cannot write JSON to {json_path}: {exc}") from exc
+        json_text = json.dumps(data, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError:
+        raise ValueError(f"cannot write JSON to {json_path}: {_non_finite_at(data)} is not finite") from None
+    csv_text = "\n".join(report_csv_lines(report)) + "\n"
+    for kind, path, text in (("CSV", csv_path, csv_text), ("JSON", json_path, json_text)):
+        try:
+            with open(path, "w", encoding="utf-8", newline="") as f:
+                f.write(text)
+        except OSError as exc:
+            raise OSError(f"cannot write {kind} to {path}: {exc}") from exc
+
+
+def _non_finite_at(value, where: str = "") -> str | None:
+    """The JSON path of the first non-finite float in value, in key order."""
+    if isinstance(value, float):
+        return None if math.isfinite(value) else where
+    if isinstance(value, dict):
+        children = ((f"{where}.{key}" if where else key, value[key]) for key in sorted(value))
+    elif isinstance(value, (list, tuple)):
+        children = ((f"{where}[{i}]", item) for i, item in enumerate(value))
+    else:
+        return None
+    return next(filter(None, (_non_finite_at(item, at) for at, item in children)), None)
 
 
 def report_to_dict(report) -> dict:

@@ -1,11 +1,15 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fedimt.cli import cli_main
 from fedimt.data import load_idx
+from fedimt.federation import run_experiment
 from fedimt.metrics import report_from_json
 
 TINY = """\
@@ -105,6 +109,19 @@ class TestRun:
         assert cli_main(["run", "--config", tiny_cfg_path, "--seed", "-1"]) == 1
         assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
 
+    def test_non_finite_report_exits_1_and_writes_nothing(self, tiny_cfg_path, tmp_path, capsys, monkeypatch):
+        def diverged(config, seed):
+            report = run_experiment(config, seed=seed)
+            report.records[2].t_round = float("nan")
+            return report
+
+        monkeypatch.setattr("fedimt.cli.run_experiment", diverged)
+        assert cli_main(["run", "--config", tiny_cfg_path]) == 1
+        json_path = tmp_path / "out/tiny.json"
+        err = capsys.readouterr().err
+        assert err == f"error: cannot write JSON to {json_path}: records[2].T_j is not finite\n"
+        assert not json_path.exists() and not (tmp_path / "out/tiny.csv").exists()
+
     def test_memory_error_is_one_line(self, tiny_cfg_path, capsys, monkeypatch):
         def oversized(*args, **kwargs):
             raise MemoryError("Unable to allocate 572. GiB for an array with shape (8, 76800000000)")
@@ -168,6 +185,29 @@ class TestSweep:
         assert cli_main(["sweep", "--config", tiny_cfg_path, "--seeds", "0,-1"]) == 1
         assert not (tmp_path / "out/tiny_s0.csv").exists()
         assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+class TestPaperTableScripts:
+    @pytest.mark.parametrize("script", ["estimation_benchmark.py", "imbalance_benchmark.py"])
+    @pytest.mark.parametrize(
+        "seeds, code, message",
+        [
+            ("0,x", 2, "error: argument --seeds: expected comma-separated integers, got '0,x'"),
+            (",", 2, "error: argument --seeds: expected comma-separated integers, got ','"),
+            ("0,-1", 1, "error: seed must be >= 0, got -1"),
+        ],
+        ids=["not_integers", "no_seed", "negative"],
+    )
+    def test_bad_seeds_rejected_before_the_first_run(self, script, seeds, code, message):
+        done = subprocess.run(
+            [sys.executable, str(SCRIPTS / script), "--seeds", seeds], capture_output=True, text=True
+        )
+        assert done.returncode == code
+        assert done.stdout == ""
+        assert done.stderr.splitlines()[-1].endswith(message) and "Traceback" not in done.stderr
 
 
 class TestEstimateOnly:
@@ -234,7 +274,7 @@ class TestGenData:
         path.write_text(TINY.replace("seed = 1", "seed = -1"))
         img, lab = str(tmp_path / "gen_img"), str(tmp_path / "gen_lab")
         assert cli_main(["gen-data", "--config", str(path), "--images", img, "--labels", lab]) == 1
-        assert capsys.readouterr().err == f"error: {path}: seed must be >= 0, got -1\n"
+        assert capsys.readouterr().err == f"error: {path}:14: seed must be >= 0, got -1\n"
         assert not os.path.exists(img)
 
     def test_rejects_labels_that_do_not_fit_a_ubyte(self, tmp_path, capsys):

@@ -136,6 +136,19 @@ class TestReadmeMatchesSchema:
         assert pairs - {"key"} - set(SCHEMA) == set()
 
 
+# Keys whose rejection named only the file. strategy, algorithm and seeds
+# are pinned with their lines by the tests below that name them.
+REJECTED = [
+    ("lr = 0", "lr must be > 0"),
+    ("test_fraction = 2", "test_fraction must be in (0, 1]"),
+    ("shards_per_client = 0", "shards_per_client must be >= 1"),
+    (
+        f"aux_idx_labels = {__file__}",
+        "aux_idx_labels is set alone: aux_idx_images and aux_idx_labels must be set together",
+    ),
+]
+
+
 class TestStrictness:
     def test_unknown_key_named_with_line(self, tmp_path):
         path = write_cfg(tmp_path, MINIMAL + "learning_rat = 0.1\n")
@@ -164,8 +177,9 @@ class TestStrictness:
     def test_prox_mu_needs_fedprox(self, tmp_path, strategy):
         # Only fedprox adds the proximal term; elsewhere prox_mu would be echoed but unused.
         path = write_cfg(tmp_path, MINIMAL + f"strategy = {strategy}\nprox_mu = 0.5\n")
-        with pytest.raises(ConfigError, match=rf"exp\.cfg: prox_mu needs strategy fedprox, got '{strategy}'"):
+        with pytest.raises(ConfigError) as info:
             parse_config(path)
+        assert str(info.value) == f"{path}:8: prox_mu needs strategy fedprox, got '{strategy}'"
 
     @pytest.mark.parametrize(
         "old, new, bad",
@@ -176,9 +190,17 @@ class TestStrictness:
         ],
     )
     def test_unknown_choice_names_file_and_value(self, tmp_path, old, new, bad):
-        path = write_cfg(tmp_path, MINIMAL.replace(old, new))
-        with pytest.raises(ConfigError, match=rf"exp\.cfg: .*'{bad}'"):
+        text = MINIMAL.replace(old, new)
+        key, choices = {
+            "sintetic": ("data", "'synthetic' or 'idx'"),
+            "avg": ("strategy", "one of fedavg, fedprox, fednova"),
+            "imt": ("algorithm", "one of baseline, fedimt"),
+        }[bad]
+        lineno = next(i for i, line in enumerate(text.splitlines(), 1) if line.startswith(key))
+        path = write_cfg(tmp_path, text)
+        with pytest.raises(ConfigError) as info:
             parse_config(path)
+        assert str(info.value) == f"{path}:{lineno}: {key} must be {choices}, got '{bad}'"
 
     def test_type_mismatch_named_with_line(self, tmp_path):
         path = write_cfg(tmp_path, MINIMAL.replace("rounds = 8", "rounds = eight"))
@@ -216,8 +238,9 @@ class TestStrictness:
 
     def test_synthetic_conflicts_with_idx_keys(self, tmp_path):
         path = write_cfg(tmp_path, MINIMAL + "idx_images = foo\n")
-        with pytest.raises(ConfigError, match="conflicts"):
+        with pytest.raises(ConfigError) as info:
             parse_config(path)
+        assert str(info.value) == f"{path}:7: idx_images needs data = idx"
 
     def test_invalid_fl_values_rejected(self, tmp_path):
         path = write_cfg(tmp_path, MINIMAL + "selection_rate = 0.0\n")
@@ -235,10 +258,68 @@ class TestStrictness:
         path = write_cfg(tmp_path, MINIMAL + line + "\n")
         with pytest.raises(ConfigError) as info:
             parse_config(path)
-        assert str(info.value) == f"{path}: seed must be >= 0, got -1"
+        key = line.partition(" ")[0]
+        assert str(info.value) == f"{path}:7: {key} must be >= 0, got -1"
+
+    @pytest.mark.parametrize("line, message", REJECTED, ids=[line.split()[0] for line, _ in REJECTED])
+    def test_rejected_value_named_with_its_line(self, tmp_path, line, message):
+        # The key sits on line 2, so a message naming the file alone, or
+        # another line, fails.
+        path = write_cfg(tmp_path, MINIMAL.replace("\n", f"\n{line}\n", 1))
+        with pytest.raises(ConfigError) as info:
+            parse_config(path)
+        assert str(info.value) == f"{path}:2: {message}"
+
+
+IDX_TEXT = """\
+data = idx
+idx_images = {d}/train_img
+idx_labels = {d}/train_lab
+idx_test_images = {d}/test_img
+idx_test_labels = {d}/test_lab
+num_clients = 5
+rounds = 2
+"""
+
+
+@pytest.fixture
+def idx_files(tmp_path):
+    import numpy as np
+    from fedimt.data import write_idx
+    from conftest import make_dataset
+
+    ds = make_dataset(np.random.default_rng(0).random((40, 4)), [0, 1] * 20, num_classes=2)
+    for stem in ("train", "test"):
+        write_idx(ds, str(tmp_path / f"{stem}_img"), str(tmp_path / f"{stem}_lab"))
+    return IDX_TEXT.format(d=tmp_path)
 
 
 class TestDataSources:
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "preset = nosuch",
+            "preset = ford",
+            "classes = 7",
+            "class_counts = 3,3",
+            "run_length = 0",
+            "cluster_scale = -1",
+            "test_fraction = 0.5",
+        ],
+    )
+    def test_idx_rejects_synthetic_keys_at_their_line(self, tmp_path, idx_files, line):
+        # Nothing reads these for IDX data, and the report's echo leaves them out.
+        path = write_cfg(tmp_path, idx_files + "seed = 3\n" + line + "\n")
+        with pytest.raises(ConfigError) as info:
+            parse_config(path)
+        assert str(info.value) == f"{path}:9: {line.partition(' ')[0]} needs data = synthetic"
+
+    def test_missing_generator_key_named_at_the_data_line(self, tmp_path):
+        path = write_cfg(tmp_path, "num_clients = 5\ndata = synthetic\nrounds = 8\nclasses = 2\n")
+        with pytest.raises(ConfigError) as info:
+            parse_config(path)
+        assert str(info.value) == f"{path}:2: data = synthetic needs keys ['feature_dim', 'class_counts']"
+
     def test_idx_requires_existing_files(self, tmp_path):
         text = (
             "data = idx\n"
@@ -249,21 +330,8 @@ class TestDataSources:
         with pytest.raises(ConfigError, match="file not found"):
             parse_config(write_cfg(tmp_path, text))
 
-    def test_idx_with_existing_files(self, tmp_path):
-        import numpy as np
-        from fedimt.data import write_idx
-        from conftest import make_dataset
-
-        ds = make_dataset(np.random.default_rng(0).random((40, 4)), [0, 1] * 20, num_classes=2)
-        for stem in ("train", "test"):
-            write_idx(ds, str(tmp_path / f"{stem}_img"), str(tmp_path / f"{stem}_lab"))
-        text = (
-            "data = idx\n"
-            f"idx_images = {tmp_path}/train_img\nidx_labels = {tmp_path}/train_lab\n"
-            f"idx_test_images = {tmp_path}/test_img\nidx_test_labels = {tmp_path}/test_lab\n"
-            "num_clients = 5\nrounds = 2\n"
-        )
-        cfg = parse_config(write_cfg(tmp_path, text))
+    def test_idx_with_existing_files(self, tmp_path, idx_files):
+        cfg = parse_config(write_cfg(tmp_path, idx_files))
         assert cfg.data_source == "idx"
 
     def test_preset_fills_synthetic_params(self, tmp_path):
@@ -300,6 +368,41 @@ class TestDataSources:
         path = write_cfg(tmp_path, MINIMAL + f"aux_idx_images = {tmp_path}/ai\n")
         with pytest.raises(ConfigError, match="together"):
             parse_config(path)
+
+
+class TestCodeBuiltConfig:
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            (
+                dict(class_counts=(5, 5, 5, 4)),
+                "class_counts hold 19 samples, too few for num_clients x shards_per_client = 20 shards",
+            ),
+            (
+                dict(synthetic=dict(classes=2, feature_dim=3, class_counts=[30, 30], run_length=0)),
+                "run_length must be >= 1",
+            ),
+            (dict(synthetic=None), "data = synthetic needs keys ['classes', 'feature_dim', 'class_counts']"),
+            (
+                dict(data_source="idx"),
+                "data = idx needs keys ['idx_images', 'idx_labels', 'idx_test_images', 'idx_test_labels']",
+            ),
+        ],
+        ids=["too_few_for_shards", "generator_rule", "no_generator_keys", "no_idx_keys"],
+    )
+    def test_rejected_in_validate_before_any_data_is_drawn(self, monkeypatch, overrides, message):
+        from conftest import synthetic_exp_config
+        from fedimt.federation import run_experiment
+
+        def drawn(*args, **kwargs):
+            raise AssertionError("data drawn before the config was checked")
+
+        for name in ("gen_synthetic", "load_idx"):
+            monkeypatch.setattr(f"fedimt.federation.{name}", drawn)
+        config = synthetic_exp_config(**overrides)  # 10 clients x 2 shards
+        with pytest.raises(ValueError) as info:
+            run_experiment(config)
+        assert str(info.value) == message
 
 
 class TestShippedConfigs:

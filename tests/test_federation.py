@@ -253,15 +253,6 @@ class TestRunner:
             run_avg.run_round()
         assert max_model_diff(run_imt.model, run_avg.model) == 0.0
 
-    def test_aggregation_weights_sum_to_one(self, tiny_config):
-        runner = build_runner(tiny_config, seed=6)
-        selected = select_clients(
-            tiny_config.fl.num_clients, tiny_config.fl.selection_rate, 0, seed=6
-        )
-        counts = [runner.clients[c].total_count for c in selected]
-        p = np.array(counts) / sum(counts)
-        assert p.sum() == pytest.approx(1.0, abs=1e-12)
-
     def test_run_experiment_deterministic(self, tiny_config):
         a = run_experiment(tiny_config, seed=11)
         b = run_experiment(tiny_config, seed=11)

@@ -156,6 +156,14 @@ class TestWriteMetrics:
         with pytest.raises(OSError, match="/nonexistent"):
             write_metrics(report, "/nonexistent/dir/x.csv", "/nonexistent/dir/x.json")
 
+    def test_non_finite_value_writes_neither_file(self, report, tmp_path):
+        report.records[3].t_round = float("nan")
+        csv_path, json_path = str(tmp_path / "r.csv"), str(tmp_path / "r.json")
+        with pytest.raises(ValueError) as info:
+            write_metrics(report, csv_path, json_path)
+        assert str(info.value) == f"cannot write JSON to {json_path}: records[3].T_j is not finite"
+        assert list(tmp_path.iterdir()) == []
+
     def test_json_is_valid_and_sorted(self, report, tmp_path):
         csv_path, json_path = str(tmp_path / "r.csv"), str(tmp_path / "r.json")
         write_metrics(report, csv_path, json_path)
