@@ -43,7 +43,6 @@ from .metrics import (
     ExperimentReport,
     RoundRecord,
     evaluate,
-    report_from_json,
     write_metrics,
 )
 from .nn import (

@@ -19,7 +19,7 @@ import sys
 
 import numpy as np
 
-from .config import ConfigError, ExperimentConfig, parse_config
+from .config import ConfigError, ExperimentConfig, int_list, parse_config
 from .data import write_idx
 from .federation import _build_datasets, derive_seed, run_experiment
 from .metrics import SUMMARY_FLOATS, write_metrics
@@ -123,14 +123,11 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
 
 
 def seed_list(text: str) -> list[int]:
-    """'0,1,2' -> [0, 1, 2]; no seed, or a part that is not an integer, is a usage error."""
+    """'0,1,2' -> [0, 1, 2]; a part that is not an integer is a usage error."""
     try:
-        seeds = [int(part) for part in text.split(",") if part.strip()]
+        return int_list(text)
     except ValueError:
-        seeds = []
-    if not seeds:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
-    return seeds
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:

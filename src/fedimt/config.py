@@ -33,6 +33,11 @@ def _parse_float(text: str) -> float:
     return value
 
 
+def int_list(text: str) -> list[int]:
+    """'0,1,2' -> [0, 1, 2]; every comma-separated part must be an integer."""
+    return [int(part) for part in text.split(",")]
+
+
 _PARSERS = {int: int, float: _parse_float, str: str}
 
 
@@ -43,7 +48,7 @@ def _parser_for(hint):
         (hint,) = (arg for arg in get_args(hint) if arg is not type(None))
     kind = get_origin(hint)
     if kind in (list, tuple):
-        return lambda text: kind(int(part.strip()) for part in text.split(",") if part.strip())
+        return lambda text: kind(int_list(text))
     return _PARSERS[hint]
 
 
@@ -169,13 +174,17 @@ SCHEMA: dict[str, tuple] = {
 
 
 def _read_pairs(path: str) -> dict[str, tuple[str, int]]:
-    try:
-        with open(path, "r", encoding="utf-8") as f:
+    try:  # an undecodable byte reads as a lone surrogate, which UTF-8 cannot encode
+        with open(path, "r", encoding="utf-8", errors="surrogateescape") as f:
             lines = f.readlines()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     pairs: dict[str, tuple[str, int]] = {}
     for lineno, raw in enumerate(lines, start=1):
+        try:
+            raw.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ConfigError(f"{path}:{lineno}: not UTF-8 text") from None
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -34,15 +34,6 @@ class Dataset:
     def class_counts(self) -> Array:
         return np.bincount(self.labels, minlength=self.num_classes)
 
-    def validate(self) -> None:
-        n = len(self.labels)
-        if self.features.shape[0] != n:
-            raise ValueError("features/labels row mismatch")
-        if n and (self.labels.min() < 0 or self.labels.max() >= self.num_classes):
-            raise ValueError(f"labels must lie in [0, {self.num_classes})")
-        if sorted(self.time_order.tolist()) != list(range(n)):
-            raise ValueError("time_order is not a permutation")
-
 
 @dataclass
 class ClientDataset:

@@ -1,10 +1,10 @@
 """Evaluation, the experiment report and its deterministic outputs.
 
-RoundRecord declares every per-round output once; the CSV columns, the JSON
-records and the JSON reader all derive from its fields. CSV rows cover one
-round each (round 0 is the initial evaluation); numbers are printed with 9
-significant digits and identical runs produce byte-equal files. JSON mirrors
-the full report losslessly and round-trips back into report objects.
+RoundRecord declares every per-round output once; the CSV columns and the
+JSON records derive from its fields. CSV rows cover one round each (round 0
+is the initial evaluation); numbers are printed with 9 significant digits and
+identical runs produce byte-equal files. JSON mirrors the full report
+losslessly, as strict JSON that json.load reads.
 """
 
 from __future__ import annotations
@@ -262,10 +262,9 @@ def _gathered_predictions(model: MlpModel, rows: Array, bound64: Array) -> tuple
 
 
 class _Codec(NamedTuple):
-    """How one RoundRecord field is written and read, chosen from its type."""
+    """How one RoundRecord field is written, chosen from its type."""
 
     to_json: Callable
-    from_json: Callable
     to_csv: Callable  # (value, num_classes) -> list of cells
 
 
@@ -289,16 +288,15 @@ def _codec(hint) -> _Codec:
     if Array in args:
         return _Codec(
             _unless_none(lambda values: np.asarray(values, dtype=float).tolist()),
-            _unless_none(lambda values: np.asarray(values, dtype=float)),
             lambda values, q: [""] * q if values is None else [_float_cell(v) for v in values],
         )
     if float in args:
-        return _Codec(_unless_none(float), _same, lambda value, q: [_float_cell(value)])
+        return _Codec(_unless_none(float), lambda value, q: [_float_cell(value)])
     if get_origin(hint) is list:
-        return _Codec(lambda values: [int(v) for v in values], list, None)
+        return _Codec(lambda values: [int(v) for v in values], None)
     if bool in args:
-        return _Codec(_same, _same, lambda value, q: ["" if value is None else str(int(value))])
-    return _Codec(_same, _same, lambda value, q: [str(value)])
+        return _Codec(_same, lambda value, q: ["" if value is None else str(int(value))])
+    return _Codec(_same, lambda value, q: [str(value)])
 
 
 def _out(key: str, csv: bool | str = False, **default):
@@ -425,19 +423,3 @@ def report_to_dict(report) -> dict:
             for rec in report.records
         ],
     }
-
-
-def report_from_json(json_path: str) -> ExperimentReport:
-    with open(json_path, "r", encoding="utf-8") as f:
-        data = json.load(f)
-    records = [
-        RoundRecord(**{name: codec.from_json(r[key]) for name, key, _, codec in _FIELDS})
-        for r in data["records"]
-    ]
-    return ExperimentReport(
-        seed=data["seed"],
-        num_classes=data["num_classes"],
-        config=data["config"],
-        records=records,
-        summary=data["summary"],
-    )

@@ -19,8 +19,17 @@ def make_dataset(features, labels, num_classes=None, time_order=None):
         num_classes=num_classes,
         time_order=np.asarray(time_order, dtype=int),
     )
-    ds.validate()
+    check_dataset(ds)
     return ds
+
+
+def check_dataset(ds):
+    """Assert a Dataset's invariants: one feature row per label, every label
+    in [0, num_classes), and time_order a permutation of its rows."""
+    n = len(ds.labels)
+    assert ds.features.shape[0] == n, "features/labels row mismatch"
+    assert not n or 0 <= ds.labels.min() <= ds.labels.max() < ds.num_classes, "labels out of range"
+    assert sorted(ds.time_order.tolist()) == list(range(n)), "time_order is not a permutation"
 
 
 def make_client(features, labels, client_id=0, **kwargs):

@@ -10,7 +10,6 @@ import pytest
 from fedimt.cli import cli_main
 from fedimt.data import load_idx
 from fedimt.federation import run_experiment
-from fedimt.metrics import report_from_json
 
 TINY = """\
 data = synthetic
@@ -48,8 +47,8 @@ class TestRun:
 
     def test_seed_override(self, tiny_cfg_path, tmp_path):
         assert cli_main(["run", "--config", tiny_cfg_path, "--seed", "7"]) == 0
-        report = report_from_json(str(tmp_path / "out/tiny.json"))
-        assert report.seed == 7
+        report = json.loads((tmp_path / "out/tiny.json").read_text())
+        assert report["seed"] == 7
 
     def test_missing_config_flag_exits_2(self):
         assert cli_main(["run"]) == 2
@@ -175,7 +174,7 @@ class TestSweep:
             )
         assert blobs[0] == blobs[1]
 
-    @pytest.mark.parametrize("seeds", ["0,x", ","])
+    @pytest.mark.parametrize("seeds", ["0,x", ",", "0,,1"])
     def test_non_integer_seed_is_a_usage_error(self, tiny_cfg_path, tmp_path, capsys, seeds):
         assert cli_main(["sweep", "--config", tiny_cfg_path, "--seeds", seeds]) == 2
         assert not (tmp_path / "out").exists()
@@ -215,26 +214,26 @@ class TestEstimateOnly:
         monkeypatch.chdir(tmp_path)
         config = os.path.join(os.path.dirname(__file__), "..", "configs", "estimation_10class.cfg")
         assert cli_main(["estimate-only", "--config", config]) == 0
-        report = report_from_json(str(tmp_path / "out/estimation_10class.json"))
-        assert len(report.records) == 51
-        for rec in report.records[1:]:
-            assert len(rec.selected_clients) == 15
-            assert rec.accuracy is None
+        records = json.loads((tmp_path / "out/estimation_10class.json").read_text())["records"]
+        assert len(records) == 51
+        for rec in records[1:]:
+            assert len(rec["selected_clients"]) == 15
+            assert rec["acc"] is None
 
     def test_skips_evaluation_but_estimates(self, tiny_cfg_path, tmp_path):
         assert cli_main(["estimate-only", "--config", tiny_cfg_path]) == 0
-        report = report_from_json(str(tmp_path / "out/tiny.json"))
-        assert all(r.accuracy is None for r in report.records)
-        assert report.records[-1].t_round is not None
-        assert report.summary["mean_T_j"] is not None
+        report = json.loads((tmp_path / "out/tiny.json").read_text())
+        assert all(r["acc"] is None for r in report["records"])
+        assert report["records"][-1]["T_j"] is not None
+        assert report["summary"]["mean_T_j"] is not None
 
     def test_forces_tracking_algorithm(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         path = tmp_path / "b.cfg"
         path.write_text(TINY + "algorithm = baseline\ncsv_path = b.csv\njson_path = b.json\n")
         assert cli_main(["estimate-only", "--config", str(path)]) == 0
-        report = report_from_json(str(tmp_path / "b.json"))
-        assert report.records[-1].round_ratio is not None
+        report = json.loads((tmp_path / "b.json").read_text())
+        assert report["records"][-1]["round_ratio"] is not None
 
 
 class TestGenData:
@@ -339,10 +338,10 @@ class TestIdxExperiment:
             "hidden_sizes = 8\ncsv_path = idx.csv\njson_path = idx.json\n"
         )
         assert cli_main(["run", "--config", str(cfg)]) == 0
-        report = report_from_json(str(tmp_path / "idx.json"))
-        assert report.num_classes == 3
-        assert len(report.records) == 3
-        assert report.records[-1].accuracy is not None
+        report = json.loads((tmp_path / "idx.json").read_text())
+        assert report["num_classes"] == 3
+        assert len(report["records"]) == 3
+        assert report["records"][-1]["acc"] is not None
 
 
 class TestDefaultPaths:

@@ -207,6 +207,31 @@ class TestStrictness:
         with pytest.raises(ConfigError, match="rounds"):
             parse_config(path)
 
+    # A generator list, a tuple field and a list field: no element may be empty.
+    @pytest.mark.parametrize(
+        "old, new, lineno",
+        [
+            ("class_counts = 30,20,10", "class_counts = 30,20,,10", 4),
+            ("rounds = 8", "rounds = 8\nhidden_sizes = 32,,16", 7),
+            ("rounds = 8", "rounds = 8\nseeds = 0,,1", 7),
+            ("rounds = 8", "rounds = 8\nseeds = ,", 7),
+        ],
+    )
+    def test_empty_list_element_named_with_line(self, tmp_path, old, new, lineno):
+        path = write_cfg(tmp_path, MINIMAL.replace(old, new))
+        key = new.splitlines()[-1].split(" = ")[0]
+        with pytest.raises(ConfigError) as info:
+            parse_config(path)
+        message = f"bad value for '{key}': invalid literal for int() with base 10: ''"
+        assert str(info.value) == f"{path}:{lineno}: {message}"
+
+    def test_non_utf8_byte_named_with_line(self, tmp_path):
+        path = tmp_path / "exp.cfg"
+        path.write_bytes(b"data = synthetic\n# caf\xe9\n" + MINIMAL.encode().partition(b"\n")[2])
+        with pytest.raises(ConfigError) as info:
+            parse_config(str(path))
+        assert str(info.value) == f"{path}:2: not UTF-8 text"
+
     def test_duplicate_key_rejected(self, tmp_path):
         path = write_cfg(tmp_path, MINIMAL + "rounds = 9\n")
         with pytest.raises(ConfigError, match="duplicate"):

@@ -18,7 +18,7 @@ from fedimt.data import (
     window_positions,
     write_idx,
 )
-from conftest import make_client, make_dataset
+from conftest import check_dataset, make_client, make_dataset
 from reference import (
     reference_bursty_order,
     reference_gen_synthetic,
@@ -38,7 +38,7 @@ class TestGenSynthetic:
         spec = make_synthetic_spec(3, 4, [50, 20, 30], seed=1)
         ds = gen_synthetic(spec, seed=2)
         np.testing.assert_array_equal(ds.class_counts(), [50, 20, 30])
-        ds.validate()
+        check_dataset(ds)
 
     def test_ford_style_imbalance(self):
         spec = make_synthetic_spec(2, 4, [84, 16], seed=1)
@@ -244,7 +244,7 @@ class TestShardPartition:
     def test_client_time_order_is_valid_permutation(self):
         ds = self.make_ds()
         for c in shard_partition(ds, 6, 2, seed=5):
-            c.dataset.validate()
+            check_dataset(c.dataset)
 
     # Sizes that array_split cuts unevenly, one or many samples per shard,
     # and a single client; arrivals in a random order so that index order
