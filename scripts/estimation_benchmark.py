@@ -30,6 +30,9 @@ def main() -> None:
     parser.add_argument("--seeds", type=seed_list, default="0,1,2", help="comma-separated seeds")
     parser.add_argument("--settle", type=int, default=10, help="first round included in averages")
     args = parser.parse_args()
+    rounds = parse_config(args.config).fl.rounds
+    if not 1 <= args.settle <= rounds:  # round 0 has no T_j, and past the last round none are left
+        parser.error(f"argument --settle: must lie in [1, {rounds}] for {rounds} rounds, got {args.settle}")
 
     seeds = args.seeds
     for seed in seeds:  # reject a bad seed before the first run

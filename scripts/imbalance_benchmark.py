@@ -18,7 +18,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from fedimt.cli import seed_list
 from fedimt.config import parse_config
-from fedimt.federation import derive_seed, run_experiment
+from fedimt.federation import STRATEGIES, derive_seed, run_experiment
 
 DEFAULT_CONFIG = os.path.join(os.path.dirname(__file__), "..", "configs", "ford_imbalance.cfg")
 
@@ -33,7 +33,7 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--config", default=DEFAULT_CONFIG)
     parser.add_argument("--seeds", type=seed_list, default="0,1,2", help="comma-separated seeds")
-    parser.add_argument("--strategy", default=None, help="override aggregation strategy")
+    parser.add_argument("--strategy", choices=STRATEGIES, default=None, help="override aggregation strategy")
     args = parser.parse_args()
 
     seeds = args.seeds

@@ -44,11 +44,19 @@ from workloads import config_text  # noqa: E402
 
 
 def parse_seeds(text: str) -> list[int]:
-    """'0-4,1000' -> [0, 1, 2, 3, 4, 1000]."""
+    """'0-4,1000' -> [0, 1, 2, 3, 4, 1000]. An empty part, a part that is
+    neither a seed nor a range, and a reversed range are usage errors, so
+    the seeds never quietly come out empty."""
     seeds = []
     for part in text.split(","):
-        low, _, high = part.strip().partition("-")
-        seeds += range(int(low), int(high or low) + 1)
+        low, dash, high = part.strip().partition("-")
+        try:
+            first, last = int(low), int(high if dash else low)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected comma-separated seeds or ranges a-b, got {text!r}") from None
+        if last < first:
+            raise argparse.ArgumentTypeError(f"range {part.strip()!r} runs backwards")
+        seeds += range(first, last + 1)
     return seeds
 
 
@@ -91,21 +99,20 @@ def base_digests(rev: str, seeds: str) -> list[str]:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seeds", default="0", help="workload seeds, e.g. 0-4,1000-1009")
+    parser.add_argument("--seeds", type=parse_seeds, default="0", help="workload seeds, e.g. 0-4,1000-1009")
     parser.add_argument("--base", metavar="REV", help="compare with the outputs of git revision REV")
     args = parser.parse_args(argv)
-    seeds = parse_seeds(args.seeds)
     if args.base is None:
-        for line in digests(seeds):
+        for line in digests(args.seeds):
             print(line, flush=True)
         return 0
     try:
-        base = base_digests(args.base, args.seeds)
+        base = base_digests(args.base, ",".join(map(str, args.seeds)))
     except subprocess.CalledProcessError as exc:
         print(f"error: {' '.join(exc.cmd)} failed:\n{exc.stderr}", file=sys.stderr)
         return 2
     differ = 0
-    for old, new in itertools.zip_longest(base, digests(seeds)):
+    for old, new in itertools.zip_longest(base, digests(args.seeds)):
         if old != new:
             differ += 1
             print(f"- {old}\n+ {new}", flush=True)

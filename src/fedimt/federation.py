@@ -170,8 +170,8 @@ def local_update(
     ids, feature matrices, label vectors and seeds it returns one update per
     non-empty client, in the given order. Either way the clients train in
     lockstep on one stacked model, a (K, P) parameter buffer, one
-    forward/loss/backward/step call per step for all of them; the single
-    client is the case K = 1.
+    forward/loss/backward/step call per step for all of them on a rows-first
+    (batch_size, K, d) batch; the single client is the case K = 1.
 
     Each client draws a fresh permutation per epoch from its own seed and
     keeps its final partial batch. A row mask pads the short batches to
@@ -202,16 +202,18 @@ def local_update(
     n_steps = steps.max()
     order = np.full((k_total, n_steps * batch), -1)
     for k, client_seed in enumerate(seeds):
-        rng = np.random.default_rng(client_seed)
-        slots = per_epoch[k] * batch
-        for e in range(config.local_epochs):
-            order[k, e * slots : e * slots + sizes[k]] = rng.permutation(sizes[k])
-    # rows[t, k] lists client k's rows for step t; -1 marks padding.
-    rows = np.ascontiguousarray(order.reshape(k_total, n_steps, batch).transpose(1, 0, 2))
+        # Epoch e's permutation fills the first sizes[k] of its slots; one
+        # permuted call draws the stream of local_epochs permutation calls.
+        slots = order[k, : steps[k] * batch].reshape(config.local_epochs, -1)[:, : sizes[k]]
+        np.random.default_rng(client_seed).permuted(
+            np.broadcast_to(np.arange(sizes[k]), slots.shape), axis=1, out=slots
+        )
+    # rows[t, :, k] lists client k's rows for step t, rows first; -1 marks padding.
+    rows = np.ascontiguousarray(order.reshape(k_total, n_steps, batch).transpose(1, 2, 0))
     row_mask = rows >= 0
     # A padded slot repeats its batch's first row, which the row mask drops.
-    rows = np.where(row_mask, rows, np.maximum(rows[..., :1], 0))
-    rows += (np.cumsum(sizes) - sizes)[:, None]
+    rows = np.where(row_mask, rows, np.maximum(rows[:, :1], 0))
+    rows += np.cumsum(sizes) - sizes
     all_features = np.concatenate(client_features)
     targets = loss_targets(
         np.concatenate(client_labels)[rows], loss_spec, global_model.num_classes, row_mask

@@ -9,9 +9,18 @@ the composition-ratio estimator reads them.
 Everything operates on float64 numpy arrays and is deterministic given the
 seed and inputs. A model keeps all its parameters in one flat buffer, and
 forward, compute_loss, backward and sgd_step also accept a stacked model whose
-buffer carries a leading client axis, (K, P), with batches shaped (K, B, d):
-K clients then train in lockstep, one call per step for all of them, and the
-plain model is the same code without that axis.
+buffer carries a leading client axis, (K, P): K clients then train in lockstep,
+one call per step for all of them. A stacked batch puts the rows first,
+(B, K, d), and so does every activation and gradient of a step, so a bias add
+or a bias gradient runs over one contiguous K * n run per row, and the plain
+(B, d) model is the same code without the client axis. The matmuls read the
+stack client-major through swapaxes views, which BLAS takes by its leading
+dimension, so every product sums its terms in the order a client-major
+(K, B, d) stack would.
+
+softmax takes each row's max from a class-major copy of the logits, and
+compute_loss turns a fresh softmax into the logit gradient in place; neither
+moves a bit, since a max is exact in any order and p - 0 == p.
 """
 
 from __future__ import annotations
@@ -168,7 +177,15 @@ def mlp_init(layer_sizes: list[int], seed: int) -> MlpModel:
 
 
 def softmax(logits: Array) -> Array:
-    exp = logits - logits.max(axis=-1, keepdims=True)
+    """Softmax over the last axis, shifted by each row's max for stability.
+
+    The max reduces a class-major copy, q long passes over the rows instead of
+    one q-element pass per row; a max is exact in any order, so the bits are
+    those of logits.max(axis=-1).
+    """
+    q = logits.shape[-1]
+    row_max = np.maximum.reduce(logits.reshape(-1, q).T.copy(), axis=0)
+    exp = logits - row_max.reshape(*logits.shape[:-1], 1)
     np.exp(exp, out=exp)
     exp /= exp.sum(axis=-1, keepdims=True)
     return exp
@@ -176,22 +193,20 @@ def softmax(logits: Array) -> Array:
 
 def forward(model: MlpModel, batch: Array) -> Activations:
     """Run the network on a (batch, input_dim) matrix, or a stacked model on
-    a (K, batch, input_dim) stack."""
+    a rows-first (batch, K, input_dim) stack."""
     batch = np.asarray(batch, dtype=float)
     w0 = model.weights[0]
-    if (
-        batch.ndim != w0.ndim
-        or batch.shape[:-2] != w0.shape[:-2]
-        or batch.shape[-1] != model.layer_sizes[0]
-    ):
+    if batch.ndim != w0.ndim or batch.shape[1:] != (*w0.shape[:-2], model.layer_sizes[0]):
         raise ValueError(
             f"batch shape {batch.shape} does not match first-layer weights {w0.shape}"
         )
     outputs = [batch]
     last = len(model.weights) - 1
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        h = outputs[-1] @ w
-        h += b[..., None, :]
+        h = np.empty((*batch.shape[:-1], w.shape[-1]))
+        # swapaxes(0, -2) is (K, B, .) on a stack and the identity on a matrix.
+        np.matmul(outputs[-1].swapaxes(0, -2), w, out=h.swapaxes(0, -2))
+        h += b
         if i < last:
             np.maximum(h, 0.0, out=h)
         outputs.append(h)
@@ -208,31 +223,28 @@ def effective_number_weight(n: Array | float, beta: float) -> Array:
 @dataclass
 class LossTargets:
     """What compute_loss needs of the labels, the spec and the row mask:
-    everything but the logits. One step covers (B,) or (K, B) rows; a
-    round's (T, K, B) targets are built once and targets[t] is step t.
-    compute_loss writes each row's loss term into row_loss, and loss() sums
-    the rows afterwards, so a round sums its losses once."""
+    everything but the logits. One step covers (B,) or rows-first (B, K)
+    rows; a round's (T, B, K) targets are built once and targets[t] is step
+    t. compute_loss writes each row's loss term into row_loss, and loss()
+    sums the rows afterwards, so a round sums its losses once."""
 
     spec: LossSpec
-    onehot: Array  # (..., B, q) bool
-    pt_index: Array  # (..., B) flat index of each row's label in one step's probabilities
-    row_w: Array  # (..., B) 1/rows on a counted row, 0 on a masked one
-    sample_w: Array  # (..., B) the row's class weight; a broadcast 1 unless class_balanced
-    row_loss: Array  # (..., B) each row's loss term, written by the logit half
+    pt_index: Array  # (..., B[, K]) flat index of each row's label in one step's probabilities
+    row_w: Array  # 1/rows on a counted row, 0 on a masked one
+    sample_w: Array  # the row's class weight; a broadcast 1 unless class_balanced
+    row_loss: Array  # each row's loss term, written by compute_loss
 
     def __getitem__(self, t) -> "LossTargets":
-        return LossTargets(
-            self.spec,
-            self.onehot[t],
-            self.pt_index[t],
-            self.row_w[t],
-            self.sample_w[t],
-            self.row_loss[t],
-        )
+        return LossTargets(self.spec, self.pt_index[t], self.row_w[t], self.sample_w[t], self.row_loss[t])
 
     def loss(self) -> Array:
-        """Mean loss over each step's counted rows, 0 where none counts."""
-        return np.add.reduce(self.row_loss * self.row_w, axis=-1)
+        """Mean loss over each step's counted rows, 0 where none counts. A
+        stacked step's or round's terms are summed through one client-major
+        copy, so each client's rows add up as one contiguous run."""
+        terms = self.row_loss * self.row_w
+        if terms.ndim > 1:
+            terms = terms.swapaxes(-1, -2).copy()
+        return np.add.reduce(terms, axis=-1)
 
 
 def loss_targets(
@@ -240,8 +252,9 @@ def loss_targets(
 ) -> LossTargets:
     """Check the labels, the mask and the spec, and build compute_loss's targets.
 
-    labels is (B,), (K, B), or a round's (T, K, B); the last two axes are one
-    step's rows. mask, shaped like labels, marks the rows that count.
+    labels is (B,), a stacked step's (B, K), or a round's (T, B, K); the
+    last two axes are one step's rows. mask, shaped like labels, marks the
+    rows that count.
     """
     labels, q = np.asarray(labels, dtype=int), num_classes
     if labels.min(initial=0) < 0 or labels.max(initial=0) >= q:
@@ -251,7 +264,8 @@ def loss_targets(
         mask = np.ones(labels.shape)
     elif np.shape(mask) != labels.shape:
         raise ValueError(f"mask shape {np.shape(mask)} does not match labels {labels.shape}")
-    row_w = mask / np.maximum(np.sum(mask, axis=-1, keepdims=True), 1.0)
+    rows_axis = -min(labels.ndim, 2)
+    row_w = mask / np.maximum(np.sum(mask, axis=rows_axis, keepdims=True), 1.0)
     pt_index = np.arange(math.prod(labels.shape[-2:])).reshape(labels.shape[-2:]) * q + labels
     if spec.kind != "class_balanced":
         sample_w = np.broadcast_to(1.0, labels.shape)
@@ -259,8 +273,7 @@ def loss_targets(
         sample_w = np.asarray(spec.class_weights, dtype=float)[labels]
     else:
         sample_w = effective_number_weight(spec.per_class_n, spec.beta)[labels]
-    onehot = np.eye(q, dtype=bool).take(labels, axis=0)
-    return LossTargets(spec, onehot, pt_index, row_w, sample_w, np.empty(labels.shape))
+    return LossTargets(spec, pt_index, row_w, sample_w, np.empty(labels.shape))
 
 
 def compute_loss(acts: Activations, targets: LossTargets) -> Array:
@@ -271,14 +284,17 @@ def compute_loss(acts: Activations, targets: LossTargets) -> Array:
     A masked row gets a zero gradient. Each row's loss term goes into
     targets.row_loss; targets.loss() sums them when the caller wants them.
 
-    The log-probabilities are taken from the forward pass's softmax, floored
-    at 1e-300, so a sample's loss term is capped at -log(1e-300) ~ 690.8.
+    The log-probabilities are taken from a softmax of the logits, floored at
+    1e-300, so a sample's loss term is capped at -log(1e-300) ~ 690.8. That
+    softmax is fresh, not acts.probabilities, and becomes the returned
+    gradient in place.
     """
-    probs, spec = acts.probabilities, targets.spec
+    probs, spec = softmax(acts.logits), targets.spec
     if targets.row_w.shape != probs.shape[:-1]:
         raise ValueError(f"targets shape {targets.row_w.shape} does not match batch {probs.shape[:-1]}")
 
-    pt = np.maximum(probs.take(targets.pt_index), 1e-300)
+    p_label = probs.take(targets.pt_index)
+    pt = np.maximum(p_label, 1e-300)
     log_pt = np.log(pt)
     if spec.kind == "focal":
         one_minus = 1.0 - pt
@@ -291,11 +307,13 @@ def compute_loss(acts: Activations, targets: LossTargets) -> Array:
             spec.gamma * pt * log_pt * np.power(one_minus, spec.gamma - 1.0),
             0.0,
         )
-        grad_w = ((focus - log_term) * targets.row_w)[..., None]
+        grad_w = (focus - log_term) * targets.row_w
     else:
         np.multiply(-targets.sample_w, log_pt, out=targets.row_loss)
-        grad_w = (targets.sample_w * targets.row_w)[..., None]
-    return grad_w * (probs - targets.onehot)
+        grad_w = targets.sample_w * targets.row_w
+    probs.put(targets.pt_index, p_label - 1.0)  # probs - onehot, bit for bit
+    probs *= grad_w[..., None]
+    return probs
 
 
 def backward(model: MlpModel, acts: Activations, grad_logits: Array) -> Array:
@@ -310,17 +328,25 @@ def backward(model: MlpModel, acts: Activations, grad_logits: Array) -> Array:
     weight_grads, bias_grads = layer_views(model.layer_sizes, grads)
     g = grad_logits
     for i in range(len(model.weights) - 1, -1, -1):
-        np.matmul(acts.outputs[i].swapaxes(-1, -2), g, out=weight_grads[i])
-        np.add.reduce(g, axis=-2, out=bias_grads[i])
+        # (K, n, B) on a rows-first stack, .T on a matrix; np.moveaxis costs
+        # ~3 us a call, ten times these two views.
+        layer_in = acts.outputs[i].swapaxes(0, -2).swapaxes(-1, -2)
+        np.matmul(layer_in, g.swapaxes(0, -2), out=weight_grads[i])
+        np.add.reduce(g, axis=0, out=bias_grads[i])
         if i > 0:
-            g = g @ model.weights[i].swapaxes(-1, -2)
-            g *= acts.outputs[i] > 0.0
+            g_in = np.empty_like(acts.outputs[i])
+            np.matmul(g.swapaxes(0, -2), model.weights[i].swapaxes(-1, -2), out=g_in.swapaxes(0, -2))
+            g_in *= acts.outputs[i] > 0.0
+            g = g_in
     return grads
 
 
 def sgd_step(model: MlpModel, grads: Array, opt: OptState, active: Array | None = None) -> MlpModel:
     """In-place SGD update from a flat gradient buffer shaped like
     model.params; with momentum mu: buf = mu*buf + g, w -= lr*buf.
+
+    At momentum 0 grads is scaled by lr in place, so it holds the step
+    afterwards: pass backward's fresh buffer, not one read again.
 
     On a stacked model, active is a (K,) boolean step mask: a client whose
     entry is False keeps its weights and momentum buffer exactly as they
@@ -331,8 +357,10 @@ def sgd_step(model: MlpModel, grads: Array, opt: OptState, active: Array | None 
     keep = True if active is None else active[:, None]
     if opt.momentum != 0.0:
         np.copyto(opt.velocity, opt.momentum * opt.velocity + grads, where=keep)
-        grads = opt.velocity
-    np.subtract(model.params, opt.lr * grads, out=model.params, where=keep)
+        step = opt.lr * opt.velocity
+    else:
+        step = np.multiply(grads, opt.lr, out=grads)
+    np.subtract(model.params, step, out=model.params, where=keep)
     return model
 
 

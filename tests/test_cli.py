@@ -189,6 +189,17 @@ class TestSweep:
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
+def run_script(script, *args):
+    return subprocess.run([sys.executable, str(SCRIPTS / script), *args], capture_output=True, text=True)
+
+
+def assert_usage_error(done, message):
+    """Exit 2 before any output, with message on stderr's last line."""
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert message in done.stderr.splitlines()[-1] and "Traceback" not in done.stderr
+
+
 class TestPaperTableScripts:
     @pytest.mark.parametrize("script", ["estimation_benchmark.py", "imbalance_benchmark.py"])
     @pytest.mark.parametrize(
@@ -201,12 +212,36 @@ class TestPaperTableScripts:
         ids=["not_integers", "no_seed", "negative"],
     )
     def test_bad_seeds_rejected_before_the_first_run(self, script, seeds, code, message):
-        done = subprocess.run(
-            [sys.executable, str(SCRIPTS / script), "--seeds", seeds], capture_output=True, text=True
-        )
+        done = run_script(script, "--seeds", seeds)
         assert done.returncode == code
         assert done.stdout == ""
         assert done.stderr.splitlines()[-1].endswith(message) and "Traceback" not in done.stderr
+
+    @pytest.mark.parametrize("settle", ["0", "51", "-5"])
+    def test_settle_outside_the_rounds_is_a_usage_error(self, settle):
+        done = run_script("estimation_benchmark.py", "--settle", settle)
+        assert_usage_error(done, f"argument --settle: must lie in [1, 50] for 50 rounds, got {settle}")
+
+    def test_settle_at_the_last_round_averages_it(self):
+        done = run_script("estimation_benchmark.py", "--seeds", "0", "--settle", "50")
+        assert done.returncode == 0, done.stderr
+        assert "across seeds: mean T_j" in done.stdout
+
+    def test_unknown_strategy_is_a_usage_error(self):
+        done = run_script("imbalance_benchmark.py", "--strategy", "avg")
+        assert_usage_error(done, "argument --strategy: invalid choice: 'avg'")
+
+    @pytest.mark.parametrize(
+        "seeds, message",
+        [
+            ("4-0", "range '4-0' runs backwards"),
+            ("0,", "expected comma-separated seeds or ranges a-b, got '0,'"),
+            ("0-", "expected comma-separated seeds or ranges a-b, got '0-'"),
+        ],
+        ids=["reversed_range", "empty_part", "open_range"],
+    )
+    def test_digest_seeds_that_name_no_run_are_a_usage_error(self, seeds, message):
+        assert_usage_error(run_script("output_digest.py", "--seeds", seeds), f"argument --seeds: {message}")
 
 
 class TestEstimateOnly:

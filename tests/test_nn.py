@@ -16,6 +16,7 @@ from fedimt.nn import (
     loss_targets,
     mlp_init,
     sgd_step,
+    softmax,
 )
 
 
@@ -110,6 +111,29 @@ class TestForward:
         model = mlp_init([4, 8, 3], seed=0)
         with pytest.raises(ValueError):
             forward(model, np.zeros((2, 5)))
+
+
+class TestSoftmax:
+    """softmax's class-major max gives the bits of the row-wise textbook form."""
+
+    @staticmethod
+    def textbook(z):
+        exp = np.exp(z - z.max(axis=-1, keepdims=True))
+        return exp / exp.sum(axis=-1, keepdims=True)
+
+    @pytest.mark.parametrize("q", [1, 2, 10, 40])
+    @pytest.mark.parametrize("shape", [(0,), (7,), (6, 3)], ids=["no_rows", "matrix", "stack"])
+    def test_matches_textbook_form(self, q, shape):
+        z = np.random.default_rng(q).normal(0.0, 30.0, (*shape, q))
+        assert np.array_equal(softmax(z), self.textbook(z))
+
+    @pytest.mark.parametrize("q", [1, 2, 10, 40])
+    def test_infinite_logits_match_textbook_form(self, q):
+        z = np.random.default_rng(q).normal(0.0, 1.0, (4, q))
+        z[0, 0], z[1, -1], z[2, :] = np.inf, -np.inf, -np.inf
+        z[3, : q // 2 + 1] = np.inf
+        with np.errstate(invalid="ignore"):
+            assert np.array_equal(softmax(z), self.textbook(z), equal_nan=True)
 
 
 class TestComputeLoss:
@@ -321,7 +345,8 @@ def stack(models):
 
 class TestClientAxis:
     """A stacked model with a row mask computes what each client's 2-D model
-    computes on its own unmasked rows."""
+    computes on its own unmasked rows. Stacked batches put the rows first:
+    (B, K, d), with (B, K) labels and masks."""
 
     SPECS = [
         LossSpec(),
@@ -333,18 +358,18 @@ class TestClientAxis:
     def test_masked_stack_matches_per_client(self, spec):
         models = [mlp_init([4, 8, 3], seed=s) for s in range(3)]
         rng = np.random.default_rng(0)
-        x = rng.normal(0.0, 1.0, (3, 6, 4))
-        y = rng.integers(0, 3, (3, 6))
-        mask = np.arange(6) < np.array([6, 4, 0])[:, None]  # client 2 has no rows
+        x = rng.normal(0.0, 1.0, (6, 3, 4))
+        y = rng.integers(0, 3, (6, 3))
+        mask = np.arange(6)[:, None] < np.array([6, 4, 0])  # client 2 has no rows
         stacked = stack(models)
         acts = forward(stacked, x)
         losses, g = loss_and_grad(acts, y, spec, mask)
         grads = all_layers(stacked.layer_sizes, backward(stacked, acts, g))
         assert losses.shape == (3,) and losses[2] == 0.0
         for k in range(2):
-            rows = mask[k]
-            a = forward(models[k], x[k, rows])
-            loss, gk = loss_and_grad(a, y[k, rows], spec)
+            rows = mask[:, k]
+            a = forward(models[k], x[rows, k])
+            loss, gk = loss_and_grad(a, y[rows, k], spec)
             ref = all_layers(models[k].layer_sizes, backward(models[k], a, gk))
             assert losses[k] == pytest.approx(loss, abs=1e-12)
             for got, want in zip(grads, ref):
@@ -354,14 +379,14 @@ class TestClientAxis:
 
     @pytest.mark.parametrize("spec", SPECS, ids=["plain_ce", "class_balanced", "focal"])
     def test_prebuilt_targets_give_the_same_bits(self, spec):
-        """Targets built for a (T, K, B) round and sliced at step t give the
+        """Targets built for a (T, B, K) round and sliced at step t give the
         bits of targets built for step t alone."""
         stacked = stack([mlp_init([4, 8, 3], seed=s) for s in range(3)])
         rng = np.random.default_rng(1)
-        y = rng.integers(0, 3, (2, 3, 6))
-        mask = np.arange(6) < rng.integers(0, 7, (2, 3, 1))
-        mask[1, 2] = False  # a client with no rows at step 1
-        x = rng.normal(0.0, 1.0, (2, 3, 6, 4))
+        y = rng.integers(0, 3, (2, 6, 3))
+        mask = np.arange(6)[:, None] < rng.integers(0, 7, (2, 1, 3))
+        mask[1, :, 2] = False  # a client with no rows at step 1
+        x = rng.normal(0.0, 1.0, (2, 6, 3, 4))
         targets = loss_targets(y, spec, 3, mask)
         losses = []
         for step in range(2):
