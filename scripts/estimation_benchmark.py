@@ -18,7 +18,7 @@ import numpy as np
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from fedimt.cli import seed_list
-from fedimt.config import parse_config
+from fedimt.config import ConfigError, parse_config
 from fedimt.federation import derive_seed, run_experiment
 
 DEFAULT_CONFIG = os.path.join(os.path.dirname(__file__), "..", "configs", "estimation_10class.cfg")
@@ -30,7 +30,10 @@ def main() -> None:
     parser.add_argument("--seeds", type=seed_list, default="0,1,2", help="comma-separated seeds")
     parser.add_argument("--settle", type=int, default=10, help="first round included in averages")
     args = parser.parse_args()
-    rounds = parse_config(args.config).fl.rounds
+    try:
+        rounds = parse_config(args.config).fl.rounds
+    except ConfigError as exc:
+        sys.exit(f"error: {exc}")
     if not 1 <= args.settle <= rounds:  # round 0 has no T_j, and past the last round none are left
         parser.error(f"argument --settle: must lie in [1, {rounds}] for {rounds} rounds, got {args.settle}")
 

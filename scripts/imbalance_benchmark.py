@@ -17,8 +17,8 @@ import numpy as np
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from fedimt.cli import seed_list
-from fedimt.config import parse_config
-from fedimt.federation import STRATEGIES, derive_seed, run_experiment
+from fedimt.config import ConfigError, parse_config
+from fedimt.federation import STRATEGIES, _build_datasets, derive_seed, minority_classes_of, run_experiment
 
 DEFAULT_CONFIG = os.path.join(os.path.dirname(__file__), "..", "configs", "ford_imbalance.cfg")
 
@@ -37,11 +37,18 @@ def main() -> None:
     args = parser.parse_args()
 
     seeds = args.seeds
+    try:
+        config = parse_config(args.config)
+    except ConfigError as exc:
+        sys.exit(f"error: {exc}")
     for seed in seeds:  # reject a bad seed before the first run
         try:
             derive_seed(seed)
         except ValueError as exc:
             sys.exit(f"error: {exc}")
+    train, _ = _build_datasets(config, seeds[0])
+    if len(minority_classes_of(train.class_counts())) == 0:
+        sys.exit(f"error: {args.config}: no class is below the mean count, so there is no minority accuracy")
     results: dict[str, dict[int, tuple[float, float]]] = {arm: {} for arm in ARMS}
     for arm, overrides in ARMS.items():
         for seed in seeds:

@@ -130,13 +130,19 @@ class ExperimentConfig:
             raise ConfigError(f"{given} is set alone: aux_idx_images and aux_idx_labels must be set together")
         if self.data_source == "synthetic":
             make_synthetic_spec(**self.synthetic).validate()
+            counts = list(self.synthetic["class_counts"])
             # The training split holds class_counts' samples, and
             # shard_partition needs one for every shard.
-            n, n_shards = sum(self.synthetic["class_counts"]), self.fl.num_clients * self.shards_per_client
+            n, n_shards = sum(counts), self.fl.num_clients * self.shards_per_client
             if n < n_shards:
                 raise ConfigError(
                     f"class_counts hold {n} samples, too few for num_clients x "
                     f"shards_per_client = {n_shards} shards"
+                )
+            # fedimt draws its auxiliary set from the training split, per class.
+            if self.fl.algorithm == "fedimt" and self.aux_idx_images is None and 0 in counts:
+                raise ConfigError(
+                    f"class_counts give class {counts.index(0)} no samples to draw fedimt's auxiliary set from"
                 )
 
     def to_dict(self) -> dict:

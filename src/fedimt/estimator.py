@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import AuxiliarySet
-from .nn import Array, MlpModel, forward
+from .nn import Array, MlpModel, forward, softmax
 
 logger = logging.getLogger(__name__)
 
@@ -77,9 +77,7 @@ def probe_auxiliary(
         if len(feats) == 0:
             raise ValueError(f"auxiliary class {q} is empty")
         acts = forward(prev_model, feats)
-        # acts is local to this iteration, so its softmax can take the
-        # one-hot subtraction in place.
-        grad = acts.probabilities
+        grad = softmax(acts.logits)
         grad[:, q] -= 1.0
         np.matmul(acts.hidden_outputs.T, grad, out=update)
         update *= scale

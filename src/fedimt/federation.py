@@ -43,7 +43,7 @@ from .estimator import (
     oracle_counts,
     probe_auxiliary,
 )
-from .metrics import EvalSet, ExperimentReport, RoundRecord, evaluate, summarize_records
+from .metrics import EvalResult, EvalSet, ExperimentReport, RoundRecord, evaluate, summarize_records
 from .nn import (
     Array, LossSpec, MlpModel, OptState, backward, compute_loss, forward, loss_targets, mlp_init, sgd_step
 )
@@ -290,8 +290,7 @@ class FederatedRunner:
     def __post_init__(self) -> None:
         self.config.validate()
         self.num_classes = self.model.num_classes
-        self._tracking = self.config.algorithm == "fedimt" and self.num_classes >= 2
-        if self._tracking:
+        if self.config.algorithm == "fedimt" and self.num_classes >= 2:
             if self.aux is None:
                 raise ValueError("fedimt needs an auxiliary set")
             self.observer = observer_init(self.num_classes, gain=self.config.selection_rate)
@@ -313,7 +312,7 @@ class FederatedRunner:
         and reused for as long as the model stays (a dropped round keeps it)."""
         self.model = model
         self._probe: AuxGradients | None = None
-        self._evaluation: tuple[float, float | None] | None = None
+        self._evaluation: EvalResult | None = None
 
     def _balanced_loss(self, n_ref: float) -> LossSpec:
         """Class-balanced loss from the tracked ratio, scaled to n_ref samples
@@ -359,9 +358,8 @@ class FederatedRunner:
         if self.test_set is None:
             return None, None
         if self._evaluation is None:
-            result = evaluate(self.model, self.test_set)
-            self._evaluation = (result.accuracy, result.minority_accuracy)
-        return self._evaluation
+            self._evaluation = evaluate(self.model, self.test_set)
+        return self._evaluation.accuracy, self._evaluation.minority_accuracy
 
     def initial_record(self) -> RoundRecord:
         """Round-0 row: evaluation of the untrained model, nothing else."""
@@ -389,7 +387,7 @@ class FederatedRunner:
         if updates:
             candidate = aggregate(updates, self.model, self.config.strategy)
             rec.train_loss = float(np.mean([u.train_loss for u in updates]))
-            if self._tracking:
+            if self.observer is not None:
                 total = float(sum(u.sample_count for u in updates))
                 rec.estimated_counts, rec.round_ratio = self._estimate_round_ratio(
                     candidate, total, len(updates)
@@ -404,7 +402,7 @@ class FederatedRunner:
             else:
                 self._adopt(candidate)
 
-        if self._tracking:
+        if self.observer is not None:
             rec.observer_ratio = self.observer.ratio.copy()
             if rec.round_ratio is not None:
                 truth = oracle_counts(round_labels, self.num_classes)

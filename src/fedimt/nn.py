@@ -28,7 +28,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -80,11 +80,7 @@ class MlpModel:
 @dataclass
 class Activations:
     """Forward-pass record: outputs[0] is the input batch and outputs[i + 1]
-    is layer i's output, so outputs[i] feeds layer i.
-
-    probabilities is the softmax of the logits, computed on first use, so a
-    caller that needs only the logits (an argmax) never pays for it.
-    """
+    is layer i's output, so outputs[i] feeds layer i."""
 
     outputs: list[Array]
 
@@ -96,10 +92,6 @@ class Activations:
     @property
     def logits(self) -> Array:
         return self.outputs[-1]
-
-    @cached_property
-    def probabilities(self) -> Array:
-        return softmax(self.logits)
 
 
 @dataclass
@@ -286,8 +278,7 @@ def compute_loss(acts: Activations, targets: LossTargets) -> Array:
 
     The log-probabilities are taken from a softmax of the logits, floored at
     1e-300, so a sample's loss term is capped at -log(1e-300) ~ 690.8. That
-    softmax is fresh, not acts.probabilities, and becomes the returned
-    gradient in place.
+    softmax becomes the returned gradient in place.
     """
     probs, spec = softmax(acts.logits), targets.spec
     if targets.row_w.shape != probs.shape[:-1]:

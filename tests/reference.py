@@ -28,6 +28,7 @@ from fedimt.nn import (
     layer_views,
     loss_targets,
     sgd_step,
+    softmax,
 )
 
 
@@ -268,7 +269,7 @@ def reference_probe_auxiliary(prev_model, aux, lr, local_epochs, batch_size):
     per_class = np.empty((q_total, prev_model.layer_sizes[-2], q_total))
     for q, feats in enumerate(aux.class_features):
         acts = forward(prev_model, feats)
-        grad = acts.probabilities
+        grad = softmax(acts.logits)
         grad[:, q] -= 1.0
         np.matmul(acts.hidden_outputs.T, grad, out=per_class[q])
         per_class[q] *= scale
@@ -340,7 +341,7 @@ def reference_estimate_counts(per_class, n_aux, w_prev, w_new, total_samples, nu
 
 def reference_evaluate(model, features, labels, minority_classes=None):
     labels = np.asarray(labels, dtype=int)
-    pred = forward(model, features).probabilities.argmax(axis=1)
+    pred = softmax(forward(model, features).logits).argmax(axis=1)
     minority_accuracy = None
     if minority_classes is not None and len(minority_classes) > 0:
         mask = np.isin(labels, minority_classes)

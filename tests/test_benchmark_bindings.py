@@ -1,4 +1,4 @@
-"""The benchmark's tracer can still find every function it rebinds.
+"""The benchmark can still find every function it calls or rebinds.
 
 fedbench/tracing.py times a run by rebinding names on fedimt.federation (and
 FederatedRunner.run_round). A name that federation.py stops importing breaks
@@ -30,3 +30,15 @@ def test_every_traced_name_resolves_to_a_callable(monkeypatch):
         if not callable(getattr(owner, attr, None))
     ]
     assert missing == []
+
+
+def test_package_entry_points_the_benchmark_reads_resolve():
+    """fedbench/run.py calls these outside the tracer, through these paths."""
+    entry_points = {
+        "fedimt.parse_config": getattr(fedimt, "parse_config", None),
+        "fedimt.run_experiment": getattr(fedimt, "run_experiment", None),
+        "fedimt.write_metrics": getattr(fedimt, "write_metrics", None),
+        "fedimt.metrics.report_to_dict": getattr(fedimt.metrics, "report_to_dict", None),
+        "fedimt.federation.build_runner": getattr(fedimt.federation, "build_runner", None),
+    }
+    assert [name for name, value in entry_points.items() if not callable(value)] == []

@@ -100,6 +100,23 @@ class TestRun:
             "num_clients x shards_per_client = 8 shards\n"
         )
 
+    def test_empty_class_fedimt_samples_named_with_its_line(self, tmp_path, capsys):
+        path = tmp_path / "empty.cfg"
+        lines = [l for l in TINY.splitlines() if not l.startswith("class_counts")] + ["class_counts = 300,0,40"]
+        path.write_text("\n".join(lines) + "\n")
+        assert cli_main(["run", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}:{len(lines)}: "
+            "class_counts give class 1 no samples to draw fedimt's auxiliary set from\n"
+        )
+
+    def test_empty_class_runs_under_the_baseline(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "empty.cfg"
+        lines = [l for l in TINY.splitlines() if not l.startswith("class_counts")]
+        path.write_text("\n".join([*lines, "class_counts = 300,0,40", "algorithm = baseline"]) + "\n")
+        assert cli_main(["run", "--config", str(path)]) == 0
+
     def test_nonexistent_config_exits_1(self, capsys):
         assert cli_main(["run", "--config", "/no/such/file.cfg"]) == 1
         assert "error:" in capsys.readouterr().err
@@ -216,6 +233,25 @@ class TestPaperTableScripts:
         assert done.returncode == code
         assert done.stdout == ""
         assert done.stderr.splitlines()[-1].endswith(message) and "Traceback" not in done.stderr
+
+    @pytest.mark.parametrize("script", ["estimation_benchmark.py", "imbalance_benchmark.py"])
+    def test_unreadable_config_is_one_error_line(self, script, tmp_path):
+        done = run_script(script, "--config", str(tmp_path / "missing.cfg"))
+        assert done.returncode == 1
+        assert done.stdout == "" and "Traceback" not in done.stderr
+        assert done.stderr.startswith("error: cannot read config ") and len(done.stderr.splitlines()) == 1
+
+    def test_config_without_a_minority_class_rejected_before_the_first_run(self, tmp_path):
+        # har_nlatest's 6 classes are balanced, so no class is below the mean count.
+        path = tmp_path / "balanced.cfg"
+        har = (SCRIPTS.parent / "configs" / "har_nlatest.cfg").read_text()
+        path.write_text(har.replace("rounds = 80", "rounds = 2"))
+        done = run_script("imbalance_benchmark.py", "--config", str(path), "--seeds", "0")
+        assert done.returncode == 1
+        assert done.stdout == ""
+        assert done.stderr == (
+            f"error: {path}: no class is below the mean count, so there is no minority accuracy\n"
+        )
 
     @pytest.mark.parametrize("settle", ["0", "51", "-5"])
     def test_settle_outside_the_rounds_is_a_usage_error(self, settle):

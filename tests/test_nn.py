@@ -77,13 +77,13 @@ class TestForward:
         for w in model.weights:
             w[:] = 0.0
         acts = forward(model, np.zeros((2, 4)))
-        np.testing.assert_allclose(acts.probabilities, 1.0 / 3.0)
+        np.testing.assert_allclose(softmax(acts.logits), 1.0 / 3.0)
 
     def test_rows_sum_to_one(self):
         model = mlp_init([5, 9, 4], seed=3)
         x, _ = seeded_batch(model, 17, seed=4)
         acts = forward(model, x)
-        np.testing.assert_allclose(acts.probabilities.sum(axis=1), 1.0, atol=1e-9)
+        np.testing.assert_allclose(softmax(acts.logits).sum(axis=1), 1.0, atol=1e-9)
 
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=25, deadline=None)
@@ -91,7 +91,7 @@ class TestForward:
         model = mlp_init([3, 6, 4], seed=seed)
         x, _ = seeded_batch(model, 5, seed=seed + 1)
         acts = forward(model, 10.0 * x)
-        np.testing.assert_allclose(acts.probabilities.sum(axis=1), 1.0, atol=1e-9)
+        np.testing.assert_allclose(softmax(acts.logits).sum(axis=1), 1.0, atol=1e-9)
 
     def test_hidden_shape(self):
         model = mlp_init([4, 8, 3], seed=0)
