@@ -17,8 +17,8 @@ import numpy as np
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from fedimt.cli import seed_list
-from fedimt.config import ConfigError, parse_config
+from fedimt.cli import estimation_config, seed_list
+from fedimt.config import ConfigError
 from fedimt.federation import derive_seed, run_experiment
 
 DEFAULT_CONFIG = os.path.join(os.path.dirname(__file__), "..", "configs", "estimation_10class.cfg")
@@ -30,10 +30,11 @@ def main() -> None:
     parser.add_argument("--seeds", type=seed_list, default="0,1,2", help="comma-separated seeds")
     parser.add_argument("--settle", type=int, default=10, help="first round included in averages")
     args = parser.parse_args()
-    try:
-        rounds = parse_config(args.config).fl.rounds
+    try:  # the protocol `fedimt estimate-only` runs
+        config = estimation_config(args.config)
     except ConfigError as exc:
         sys.exit(f"error: {exc}")
+    rounds = config.fl.rounds
     if not 1 <= args.settle <= rounds:  # round 0 has no T_j, and past the last round none are left
         parser.error(f"argument --settle: must lie in [1, {rounds}] for {rounds} rounds, got {args.settle}")
 
@@ -46,8 +47,6 @@ def main() -> None:
     print(f"{'seed':>4} {'mean T_j':>9} {'mean T_G':>9} {'min T_G':>8} {'drops':>6}")
     tj_all, tg_all = [], []
     for seed in seeds:
-        config = parse_config(args.config)
-        config.skip_eval = True
         report = run_experiment(config, seed=seed)
         late = report.records[args.settle :]
         tj = np.array([r.t_round for r in late])

@@ -37,8 +37,9 @@ def main() -> None:
     args = parser.parse_args()
 
     seeds = args.seeds
-    try:
-        config = parse_config(args.config)
+    strategy = {"strategy": args.strategy} if args.strategy else {}
+    try:  # every arm's config, so a rule an override breaks stops the script before the first run
+        configs = {arm: parse_config(args.config, **overrides, **strategy) for arm, overrides in ARMS.items()}
     except ConfigError as exc:
         sys.exit(f"error: {exc}")
     for seed in seeds:  # reject a bad seed before the first run
@@ -46,17 +47,12 @@ def main() -> None:
             derive_seed(seed)
         except ValueError as exc:
             sys.exit(f"error: {exc}")
-    train, _ = _build_datasets(config, seeds[0])
+    train, _ = _build_datasets(configs["fedimt"], seeds[0])
     if len(minority_classes_of(train.class_counts())) == 0:
         sys.exit(f"error: {args.config}: no class is below the mean count, so there is no minority accuracy")
     results: dict[str, dict[int, tuple[float, float]]] = {arm: {} for arm in ARMS}
-    for arm, overrides in ARMS.items():
+    for arm, config in configs.items():
         for seed in seeds:
-            config = parse_config(args.config)
-            for key, value in overrides.items():
-                setattr(config.fl, key, value)
-            if args.strategy:
-                config.fl.strategy = args.strategy
             report = run_experiment(config, seed=seed)
             results[arm][seed] = (
                 report.summary["final_acc"],

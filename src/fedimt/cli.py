@@ -61,12 +61,17 @@ def _summary_line(seed: int, summary: dict) -> str:
     return " ".join(parts)
 
 
+def estimation_config(path: str) -> ExperimentConfig:
+    """The config at path under the estimation-accuracy protocol: fedimt,
+    whatever algorithm the file names, without the test evaluation."""
+    config = parse_config(path, algorithm="fedimt")
+    config.skip_eval = True
+    return config
+
+
 def cmd_run(args: argparse.Namespace) -> int:
-    """`run`, and `estimate-only`: fedimt without the test evaluation."""
-    config = parse_config(args.config)
-    if args.estimate_only:
-        config.fl.algorithm = "fedimt"
-        config.skip_eval = True
+    """`run`, and `estimate-only`: the estimation_config protocol."""
+    config = estimation_config(args.config) if args.estimate_only else parse_config(args.config)
     seed = config.seed if args.seed is None else args.seed
     csv_path, json_path = _default_paths(config, args.config)
     summary = _run_one(config, seed, csv_path, json_path)

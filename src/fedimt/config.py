@@ -205,7 +205,13 @@ def _read_pairs(path: str) -> dict[str, tuple[str, int]]:
     return pairs
 
 
-def parse_config(path: str) -> ExperimentConfig:
+def parse_config(path: str, **overrides) -> ExperimentConfig:
+    """The config at path, with overrides (typed values by key) replacing
+    the file's values before the gate, so a rule they break is reported
+    like one the file breaks."""
+    unknown = sorted(set(overrides) - set(SCHEMA))
+    if unknown:
+        raise TypeError(f"parse_config got unknown keys {unknown}")
     pairs = _read_pairs(path)
 
     def where(key: str) -> str:
@@ -232,6 +238,7 @@ def parse_config(path: str) -> ExperimentConfig:
         if preset not in PRESETS:
             raise ConfigError(f"{where('preset')}: unknown preset {preset!r} (choose from {sorted(PRESETS)})")
         values.update((key, value) for key, value in PRESETS[preset].items() if key not in pairs)
+    values.update(overrides)
     for key in (*_IDX_KEYS, "aux_idx_images", "aux_idx_labels"):
         if values[key] is not None and not os.path.exists(values[key]):
             raise ConfigError(f"{where(key)}: file not found: {values[key]}")

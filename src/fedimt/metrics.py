@@ -1,20 +1,20 @@
 """Evaluation, the experiment report and its deterministic outputs.
 
 RoundRecord declares every per-round output once; the CSV columns and the
-JSON records derive from its fields. CSV rows cover one round each (round 0
-is the initial evaluation); numbers are printed with 9 significant digits and
-identical runs produce byte-equal files. JSON mirrors the full report
-losslessly, as strict JSON that json.load reads.
+JSON records derive from its fields, and each value's conversion follows the
+value, not its field's type. CSV rows cover one round each (round 0 is the
+initial evaluation); a cell is empty for None, an integer for a bool or an
+int, and any other number with 9 significant digits, and identical runs
+produce byte-equal files. JSON mirrors the full report losslessly, as strict
+JSON that json.load reads; an array is a list of its own element type.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from collections.abc import Callable
 from dataclasses import MISSING, dataclass, field, fields
 from functools import cached_property
-from typing import NamedTuple, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -261,44 +261,6 @@ def _gathered_predictions(model: MlpModel, rows: Array, bound64: Array) -> tuple
     return logits.argmax(axis=1), top_two[:, 1] - top_two[:, 0] > 4.0 * bound64
 
 
-class _Codec(NamedTuple):
-    """How one RoundRecord field is written, chosen from its type."""
-
-    to_json: Callable
-    to_csv: Callable  # (value, num_classes) -> list of cells
-
-
-def _unless_none(convert: Callable) -> Callable:
-    return lambda value: None if value is None else convert(value)
-
-
-def _same(value):
-    return value
-
-
-def _float_cell(value) -> str:
-    return "" if value is None else f"{float(value):.9g}"
-
-
-def _codec(hint) -> _Codec:
-    """An array is a list of floats, a float a float and a list of ints a
-    list of ints; an int or a bool passes through. CSV cells carry 9
-    significant digits, a bool reads 1 or 0, and None is an empty cell."""
-    args = get_args(hint) or (hint,)
-    if Array in args:
-        return _Codec(
-            _unless_none(lambda values: np.asarray(values, dtype=float).tolist()),
-            lambda values, q: [""] * q if values is None else [_float_cell(v) for v in values],
-        )
-    if float in args:
-        return _Codec(_unless_none(float), lambda value, q: [_float_cell(value)])
-    if get_origin(hint) is list:
-        return _Codec(lambda values: [int(v) for v in values], None)
-    if bool in args:
-        return _Codec(_same, lambda value, q: ["" if value is None else str(int(value))])
-    return _Codec(_same, lambda value, q: [str(value)])
-
-
 def _out(key: str, csv: bool | str = False, **default):
     """A report field: its JSON key and its CSV column, declared once. csv is
     True for one column named key, or a prefix for one column per class."""
@@ -328,13 +290,24 @@ class RoundRecord:
     drop_similarity: float | None = _out("drop_similarity")
 
 
-# (attribute, JSON key, CSV flag or prefix, codec) per RoundRecord field.
-_HINTS = get_type_hints(RoundRecord)
-_FIELDS = [
-    (f.name, f.metadata["key"], f.metadata["csv"], _codec(_HINTS[f.name]))
-    for f in fields(RoundRecord)
-]
+# (attribute, JSON key, CSV flag or prefix) per RoundRecord field.
+_FIELDS = [(f.name, f.metadata["key"], f.metadata["csv"]) for f in fields(RoundRecord)]
 _CSV_FIELDS = [entry for entry in _FIELDS if entry[2]]
+
+
+def _json(value):
+    """An array as a list of its own element type; any other value as it is."""
+    return value.tolist() if isinstance(value, np.ndarray) else value
+
+
+def _cell(value) -> str:
+    """None is an empty cell, a bool or an int an integer, and any other
+    number 9 significant digits."""
+    if value is None:
+        return ""
+    if isinstance(value, int):  # bool is an int
+        return str(int(value))
+    return f"{value:.9g}"
 
 
 @dataclass
@@ -371,13 +344,17 @@ def summarize_records(records: list[RoundRecord]) -> dict:
 def report_csv_lines(report) -> list[str]:
     q = report.num_classes
     header = []
-    for _, key, csv, _ in _CSV_FIELDS:
+    for _, key, csv in _CSV_FIELDS:
         header += [key] if csv is True else [f"{csv}_{i}" for i in range(q)]
     lines = [",".join(header)]
     for rec in report.records:
         row = []
-        for name, _, _, codec in _CSV_FIELDS:
-            row += codec.to_csv(getattr(rec, name), q)
+        for name, _, csv in _CSV_FIELDS:
+            value = getattr(rec, name)
+            if csv is True:
+                row.append(_cell(value))
+            else:  # one cell per class
+                row += [""] * q if value is None else [_cell(v) for v in value.tolist()]
         lines.append(",".join(row))
     return lines
 
@@ -419,7 +396,7 @@ def report_to_dict(report) -> dict:
         "config": report.config,
         "summary": report.summary,
         "records": [
-            {key: codec.to_json(getattr(rec, name)) for name, key, _, codec in _FIELDS}
+            {key: _json(getattr(rec, name)) for name, key, _ in _FIELDS}
             for rec in report.records
         ],
     }

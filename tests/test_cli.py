@@ -263,6 +263,25 @@ class TestPaperTableScripts:
         assert done.returncode == 0, done.stderr
         assert "across seeds: mean T_j" in done.stdout
 
+    def test_estimation_runs_fedimt_on_a_baseline_config(self, tmp_path):
+        # The script runs the estimate-only protocol, so the file's algorithm changes nothing.
+        outputs = []
+        for extra in ("", "algorithm = baseline\n"):
+            path = tmp_path / "est.cfg"
+            path.write_text(TINY + extra)
+            done = run_script("estimation_benchmark.py", "--config", str(path), "--seeds", "0", "--settle", "1")
+            assert done.returncode == 0, done.stderr
+            outputs.append(done.stdout)
+        assert "across seeds: mean T_j" in outputs[0] and outputs[1] == outputs[0]
+
+    def test_strategy_override_checked_before_the_first_run(self, tmp_path):
+        path = tmp_path / "prox.cfg"
+        path.write_text(TINY + "strategy = fedprox\nprox_mu = 0.01\n")
+        done = run_script("imbalance_benchmark.py", "--config", str(path), "--seeds", "0", "--strategy", "fedavg")
+        assert done.returncode == 1
+        assert done.stdout == ""
+        assert done.stderr == f"error: {path}:16: prox_mu needs strategy fedprox, got 'fedavg'\n"
+
     def test_unknown_strategy_is_a_usage_error(self):
         done = run_script("imbalance_benchmark.py", "--strategy", "avg")
         assert_usage_error(done, "argument --strategy: invalid choice: 'avg'")
@@ -305,6 +324,17 @@ class TestEstimateOnly:
         assert cli_main(["estimate-only", "--config", str(path)]) == 0
         report = json.loads((tmp_path / "b.json").read_text())
         assert report["records"][-1]["round_ratio"] is not None
+
+    def test_forced_algorithm_rejection_named_with_its_line(self, tmp_path, capsys):
+        # Valid for the baseline the file names, but fedimt needs every class.
+        path = tmp_path / "zero.cfg"
+        lines = [l for l in TINY.splitlines() if not l.startswith("class_counts")] + ["class_counts = 300,0,40"]
+        path.write_text("\n".join([*lines, "algorithm = baseline"]) + "\n")
+        assert cli_main(["estimate-only", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}:{len(lines)}: "
+            "class_counts give class 1 no samples to draw fedimt's auxiliary set from\n"
+        )
 
 
 class TestGenData:

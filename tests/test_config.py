@@ -173,6 +173,17 @@ class TestStrictness:
         with pytest.raises(ConfigError, match=message):
             parse_config(write_cfg(tmp_path, MINIMAL + line + "\n"))
 
+    def test_override_passes_the_gate_with_the_file_line(self, tmp_path):
+        path = write_cfg(tmp_path, MINIMAL + "strategy = fedprox\nprox_mu = 0.5\n")
+        assert parse_config(path).fl.strategy == "fedprox"
+        with pytest.raises(ConfigError) as info:
+            parse_config(path, strategy="fedavg")
+        assert str(info.value) == f"{path}:8: prox_mu needs strategy fedprox, got 'fedavg'"
+
+    def test_override_of_no_key_rejected(self, tmp_path):
+        with pytest.raises(TypeError, match=r"unknown keys \['skip_eval'\]"):
+            parse_config(write_cfg(tmp_path, MINIMAL), skip_eval=True)
+
     @pytest.mark.parametrize("strategy", ["fedavg", "fednova"])
     def test_prox_mu_needs_fedprox(self, tmp_path, strategy):
         # Only fedprox adds the proximal term; elsewhere prox_mu would be echoed but unused.

@@ -8,6 +8,7 @@ from conftest import synthetic_exp_config
 from fedimt.federation import run_experiment, summarize_records
 from fedimt.metrics import (
     EvalSet,
+    ExperimentReport,
     RoundRecord,
     evaluate,
     report_csv_lines,
@@ -66,6 +67,43 @@ class TestEvaluate:
         # One prediction would otherwise broadcast against all five labels.
         with pytest.raises(ValueError, match="1 feature rows for 5 labels"):
             EvalSet(np.zeros((1, 3)), np.array([0, 1, 0, 0, 1]))
+
+
+def hand_report(*records, num_classes=2):
+    return ExperimentReport(seed=0, num_classes=num_classes, config={}, records=list(records), summary={})
+
+
+class TestWriteByValue:
+    def test_json_arrays_keep_their_element_type(self, tmp_path):
+        rec = RoundRecord(
+            index=1,
+            t_round=1 / 3,
+            observer_ratio=np.array([1 / 3, 2 / 3]),
+            estimated_counts=np.array([3, 0]),
+            round_ratio=np.array([True, False]),
+        )
+        csv_path, json_path = tmp_path / "r.csv", tmp_path / "r.json"
+        write_metrics(hand_report(rec), str(csv_path), str(json_path))
+        back = json.loads(json_path.read_text())["records"][0]
+        assert back["estimated_counts"] == [3, 0]
+        assert [type(v) for v in back["estimated_counts"]] == [int, int]
+        assert back["round_ratio"] == [True, False]
+        assert [type(v) for v in back["round_ratio"]] == [bool, bool]
+        # Floats, alone or in an array, come back bit for bit.
+        assert back["T_j"] == 1 / 3 and back["observer_ratio"] == [1 / 3, 2 / 3]
+
+    def test_csv_cells_follow_the_value(self):
+        records = [
+            RoundRecord(index=0),
+            RoundRecord(index=7, dropped=True, t_round=1 / 3, accuracy=1.0, observer_ratio=np.array([0.25, 0.75])),
+            RoundRecord(index=8, dropped=False, train_loss=1e-12, observer_ratio=np.array([1, 0])),
+        ]
+        assert report_csv_lines(hand_report(*records)) == [
+            "round,dropped,T_j,T_G,acc,acc_minority,loss,r_hat_0,r_hat_1",
+            "0,,,,,,,,",
+            "7,1,0.333333333,,1,,,0.25,0.75",
+            "8,0,,,,,1e-12,1,0",
+        ]
 
 
 class TestWriteMetrics:
