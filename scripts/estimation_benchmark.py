@@ -19,7 +19,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from fedimt.cli import estimation_config, seed_list
 from fedimt.config import ConfigError
-from fedimt.federation import derive_seed, run_experiment
+from fedimt.federation import _build_datasets, derive_seed, run_experiment
 
 DEFAULT_CONFIG = os.path.join(os.path.dirname(__file__), "..", "configs", "estimation_10class.cfg")
 
@@ -44,6 +44,9 @@ def main() -> None:
             derive_seed(seed)
         except ValueError as exc:
             sys.exit(f"error: {exc}")
+    train, _ = _build_datasets(config, seeds[0])
+    if train.num_classes < 2:  # fedimt tracks no ratio for one class, so there is no T_j
+        sys.exit(f"error: {args.config}: the task has one class, so there is no class ratio to estimate")
     print(f"{'seed':>4} {'mean T_j':>9} {'mean T_G':>9} {'min T_G':>8} {'drops':>6}")
     tj_all, tg_all = [], []
     for seed in seeds:

@@ -23,7 +23,7 @@ from fedimt.federation import STRATEGIES, _build_datasets, derive_seed, minority
 DEFAULT_CONFIG = os.path.join(os.path.dirname(__file__), "..", "configs", "ford_imbalance.cfg")
 
 ARMS = {
-    "fedimt": {},
+    "fedimt": {"algorithm": "fedimt"},
     "fedavg-ce": {"algorithm": "baseline", "baseline_loss": "plain_ce"},
     "fedavg-focal": {"algorithm": "baseline", "baseline_loss": "focal"},
 }

@@ -2,23 +2,23 @@
 
 One `key = value` pair per line, `#` comments. Unknown keys, duplicate keys,
 and type errors are rejected with the offending line. Each key's type and
-default are declared once, as a field of FlConfig or ExperimentConfig, as a
-parameter of make_synthetic_spec (the generator keys) or in _DATA_SOURCE_KEYS,
-and SCHEMA is derived from them.
+default are declared once, as a field of FlConfig, ExperimentConfig or
+SyntheticSpec (the generator keys) or in _DATA_SOURCE_KEYS, and SCHEMA is
+derived from them.
 Exactly one data source (synthetic generator or IDX files) must be
 configured, and referenced files must exist at parse time. Every other rule
-is ExperimentConfig.validate's, and parse_config names the rejected key's line.
+is ExperimentConfig.validate's, which draws no data, and parse_config names
+the rejected key's line.
 """
 
 from __future__ import annotations
 
-import inspect
 import math
 import os
 from dataclasses import MISSING, asdict, dataclass, fields
 from typing import get_args, get_origin, get_type_hints
 
-from .data import PRESETS, make_synthetic_spec
+from .data import PRESETS, SyntheticSpec
 from .federation import FlConfig, derive_seed
 
 
@@ -60,18 +60,7 @@ _DATA_SOURCE_KEYS: dict[str, tuple] = {
     "data": (str, _REQUIRED),  # synthetic | idx
     "preset": (str, None),  # tenclass | ford | har
 }
-# The generator keys are make_synthetic_spec's parameters but seed; together
-# they become ExperimentConfig.synthetic. A synthetic config, or its preset,
-# must set each parameter that has no default.
-_GENERATOR = dict(inspect.signature(make_synthetic_spec, eval_str=True).parameters)
-del _GENERATOR["seed"]
-_GENERATOR_KEYS = {
-    key: (p.annotation, None if p.default is p.empty else p.default) for key, p in _GENERATOR.items()
-}
 _IDX_KEYS = ("idx_images", "idx_labels", "idx_test_images", "idx_test_labels")
-# The keys that only one data source reads (_build_datasets ignores
-# test_fraction for IDX files); a config may not set the other source's.
-_SOURCE_KEYS = {"synthetic": ("preset", *_GENERATOR, "test_fraction"), "idx": _IDX_KEYS}
 # ExperimentConfig fields that no config key fills by name.
 _NOT_KEYS = ("fl", "data_source", "synthetic", "skip_eval")
 
@@ -80,7 +69,7 @@ _NOT_KEYS = ("fl", "data_source", "synthetic", "skip_eval")
 class ExperimentConfig:
     fl: FlConfig
     data_source: str  # the `data` key
-    synthetic: dict | None = None  # the generator keys when data = synthetic
+    synthetic: SyntheticSpec | None = None  # the generator keys when data = synthetic
     idx_images: str | None = None
     idx_labels: str | None = None
     idx_test_images: str | None = None
@@ -111,8 +100,7 @@ class ExperimentConfig:
         if self.data_source not in _SOURCE_KEYS:
             raise ConfigError(f"data must be 'synthetic' or 'idx', got {self.data_source!r}")
         if self.data_source == "synthetic":
-            given = self.synthetic or {}
-            missing = [k for k, p in _GENERATOR.items() if p.default is p.empty and k not in given]
+            missing = [k for k in _GENERATOR_REQUIRED if getattr(self.synthetic, k, None) is None]
         else:
             missing = [k for k in _IDX_KEYS if getattr(self, k) is None]
         if missing:
@@ -129,8 +117,8 @@ class ExperimentConfig:
             given = "aux_idx_labels" if self.aux_idx_images is None else "aux_idx_images"
             raise ConfigError(f"{given} is set alone: aux_idx_images and aux_idx_labels must be set together")
         if self.data_source == "synthetic":
-            make_synthetic_spec(**self.synthetic).validate()
-            counts = list(self.synthetic["class_counts"])
+            self.synthetic.validate()
+            counts = list(self.synthetic.class_counts)
             # The training split holds class_counts' samples, and
             # shard_partition needs one for every shard.
             n, n_shards = sum(counts), self.fl.num_clients * self.shards_per_client
@@ -170,11 +158,18 @@ def _declared_keys(cls) -> dict[str, tuple]:
 
 
 # Each config dataclass's keys: name -> (type hint, default).
-_DECLARED = {cls: _declared_keys(cls) for cls in (FlConfig, ExperimentConfig)}
-# key -> (parser, default), in the order parse_config reports errors.
+_DECLARED = {cls: _declared_keys(cls) for cls in (SyntheticSpec, FlConfig, ExperimentConfig)}
+_GENERATOR = _DECLARED[SyntheticSpec]
+# A synthetic config, or its preset, must set each generator key without a default.
+_GENERATOR_REQUIRED = [key for key, (_, default) in _GENERATOR.items() if default is _REQUIRED]
+# The keys that only one data source reads (_build_datasets ignores
+# test_fraction for IDX files); a config may not set the other source's.
+_SOURCE_KEYS = {"synthetic": ("preset", *_GENERATOR, "test_fraction"), "idx": _IDX_KEYS}
+# key -> (parser, default), in the order parse_config reports errors. A
+# generator key that the config leaves out is None until its preset fills it.
 SCHEMA: dict[str, tuple] = {
-    key: (_parser_for(hint), default)
-    for declared in (_DATA_SOURCE_KEYS, _GENERATOR_KEYS, *_DECLARED.values())
+    key: (_parser_for(hint), None if default is _REQUIRED and declared is _GENERATOR else default)
+    for declared in (_DATA_SOURCE_KEYS, *_DECLARED.values())
     for key, (hint, default) in declared.items()
 }
 
@@ -246,12 +241,11 @@ def parse_config(path: str, **overrides) -> ExperimentConfig:
     def build(cls, **rest):
         return cls(**{key: values[key] for key in _DECLARED[cls]}, **rest)
 
-    synthetic = {k: values[k] for k in _GENERATOR if values[k] is not None}
     config = build(
         ExperimentConfig,
         fl=build(FlConfig),
         data_source=values["data"],
-        synthetic=synthetic if values["data"] == "synthetic" else None,
+        synthetic=build(SyntheticSpec) if values["data"] == "synthetic" else None,
     )
     try:
         config.validate()

@@ -63,57 +63,33 @@ class AuxiliarySet:
 
 @dataclass
 class SyntheticSpec:
-    num_classes: int
+    """A synthetic task. The fields are the config's generator keys, by
+    name, type and default; a config's `preset` fills in the ones it leaves
+    out."""
+
+    classes: int
     feature_dim: int
-    means: Array  # (Q, d)
-    cluster_scale: float  # isotropic std shared by every class
-    counts: Array  # (Q,) samples per class
+    class_counts: list[int]  # samples per class
+    cluster_scale: float = 1.0  # isotropic std shared by every class
+    class_separation: float = 3.0  # the class means' norm, roughly
     run_length: int = 1  # mean same-class arrival burst, >= 1
 
     def validate(self) -> None:  # each message starts with the config key it concerns
-        q, d = self.num_classes, self.feature_dim
+        q, counts = self.classes, self.class_counts
         if q < 1:
             raise ValueError("classes must be >= 1")
-        if d < 1:
+        if self.feature_dim < 1:
             raise ValueError("feature_dim must be >= 1")
-        if len(self.counts) != q:
-            raise ValueError(f"class_counts has {len(self.counts)} entries for {q} classes")
-        if self.means.shape != (q, d):
-            raise ValueError(f"means shape {self.means.shape} != ({q}, {d})")
+        if len(counts) != q:
+            raise ValueError(f"class_counts has {len(counts)} entries for {q} classes")
         if not self.cluster_scale >= 0.0:
             raise ValueError(f"cluster_scale must be >= 0, got {self.cluster_scale}")
-        if np.any(self.counts < 0):
+        if min(counts) < 0:
             raise ValueError("class_counts must be >= 0")
-        if int(self.counts.sum()) == 0:
+        if sum(counts) == 0:
             raise ValueError("class_counts must contain at least one sample")
         if self.run_length < 1:
             raise ValueError("run_length must be >= 1")
-
-
-def make_synthetic_spec(
-    classes: int,
-    feature_dim: int,
-    class_counts: list[int],
-    cluster_scale: float = 1.0,
-    class_separation: float = 3.0,
-    run_length: int = 1,
-    seed=0,
-) -> SyntheticSpec:
-    """Spec with seeded class means of norm ~ class_separation. The
-    parameters before seed are the config's generator keys, by name, type
-    and default."""
-    rng = np.random.default_rng(seed)
-    # A size below 1 draws no means, so that validate names its key.
-    means = rng.normal(0.0, 1.0, (max(classes, 0), max(feature_dim, 0)))
-    means *= class_separation / np.sqrt(max(feature_dim, 1))
-    return SyntheticSpec(
-        num_classes=classes,
-        feature_dim=feature_dim,
-        means=means,
-        cluster_scale=float(cluster_scale),
-        counts=np.asarray(class_counts, dtype=int),
-        run_length=int(run_length),
-    )
 
 
 def _bursty_order(labels: Array, run_length: int, rng: np.random.Generator) -> Array:
@@ -144,22 +120,28 @@ def _bursty_order(labels: Array, run_length: int, rng: np.random.Generator) -> A
     return order
 
 
-def gen_synthetic(spec: SyntheticSpec, seed: int) -> Dataset:
-    """Draw spec.counts[q] points from N(mean_q, cluster_scale^2 I) per class."""
+def gen_synthetic(spec: SyntheticSpec, means_seed, seed) -> Dataset:
+    """Draw spec.class_counts[q] points from N(mean_q, cluster_scale^2 I)
+    per class. The class means, of norm ~ class_separation, come from
+    means_seed, so splits drawn with one means_seed share them."""
     spec.validate()
+    d = spec.feature_dim
+    means = np.random.default_rng(means_seed).normal(0.0, 1.0, (spec.classes, d))
+    means *= spec.class_separation / np.sqrt(d)
     rng = np.random.default_rng(seed)
-    labels = np.repeat(np.arange(spec.num_classes), spec.counts)
-    features = rng.normal(0.0, spec.cluster_scale, (len(labels), spec.feature_dim))
+    counts = np.asarray(spec.class_counts, dtype=int)
+    labels = np.repeat(np.arange(spec.classes), counts)
+    features = rng.normal(0.0, spec.cluster_scale, (len(labels), d))
     # labels holds each class in one block, so each mean is added in place to
     # its own rows; means[labels] would gather a features-sized temporary.
-    ends = np.cumsum(spec.counts)
-    for mean, start, end in zip(spec.means, ends - spec.counts, ends):
+    ends = np.cumsum(counts)
+    for mean, start, end in zip(means, ends - counts, ends):
         features[start:end] += mean
     order = _bursty_order(labels, spec.run_length, rng)
     return Dataset(
         features=features,
         labels=labels,
-        num_classes=spec.num_classes,
+        num_classes=spec.classes,
         time_order=order,
     )
 
@@ -332,8 +314,9 @@ def auxiliary_from_dataset(dataset: Dataset) -> AuxiliarySet:
 
 
 # Desk-scale stand-ins for the benchmark tasks; counts keep the original
-# imbalance ratios (the binary task is 16.2% positive). Values are raw
-# generator parameters so each run can seed its own class means.
+# imbalance ratios (the binary task is 16.2% positive). Each is a set of
+# generator keys, SyntheticSpec's fields; gen_synthetic seeds the class means
+# per run.
 PRESETS: dict[str, dict] = {
     "tenclass": dict(
         classes=10, feature_dim=32, class_counts=[500] * 10,

@@ -30,7 +30,6 @@ from .data import (
     auxiliary_from_dataset,
     gen_synthetic,
     load_idx,
-    make_synthetic_spec,
     sample_auxiliary,
     shard_partition,
     window_latest,
@@ -122,6 +121,12 @@ class FlConfig:
             raise ValueError(f"algorithm must be one of {', '.join(ALGORITHMS)}, got {self.algorithm!r}")
         if self.n_latest is not None and self.n_latest < 1:
             raise ValueError("n_latest must be >= 1 when set")
+        if self.n_latest is not None:  # window_positions' cursor in the last round must fit int64
+            cursor = self.n_latest + max(self.rounds - 1, 0) * max(1, self.n_latest // 2)
+            if cursor >= 2**63:
+                raise ValueError(
+                    f"n_latest = {self.n_latest} moves the window cursor past int64 in {self.rounds} rounds"
+                )
         if not 0.0 <= self.drop_threshold <= 1.0:
             raise ValueError("drop_threshold must be in [0, 1]")
         if not 0.0 <= self.beta < 1.0:
@@ -427,17 +432,16 @@ def _build_datasets(config: "ExperimentConfig", seed: int) -> tuple[Dataset, Dat
     if config.data_source == "idx":
         train = load_idx(config.idx_images, config.idx_labels)
         return train, load_idx(config.idx_test_images, config.idx_test_labels)
-    spec = make_synthetic_spec(**config.synthetic, seed=derive_seed(seed, _STREAM_MEANS))
-    train = gen_synthetic(spec, derive_seed(seed, _STREAM_TRAIN_DATA))
+    spec, means_seed = config.synthetic, derive_seed(seed, _STREAM_MEANS)
+    train = gen_synthetic(spec, means_seed, derive_seed(seed, _STREAM_TRAIN_DATA))
     # Each class's test_fraction share, rounded half to even; a non-empty class keeps one.
-    test_counts = np.where(
-        spec.counts > 0, np.maximum(np.rint(spec.counts * config.test_fraction), 1), 0
-    ).astype(int)
+    counts = np.asarray(spec.class_counts)
+    test_counts = np.where(counts > 0, np.maximum(np.rint(counts * config.test_fraction), 1), 0).astype(int)
     # Nothing reads the test split's time_order, and gen_synthetic draws the
     # order after the features from the same stream, so run_length = 1 skips
     # the burst loop and leaves the features and labels as they are.
-    test_spec = replace(spec, counts=test_counts, run_length=1)
-    test = gen_synthetic(test_spec, derive_seed(seed, _STREAM_TEST_DATA))
+    test_spec = replace(spec, class_counts=test_counts, run_length=1)
+    test = gen_synthetic(test_spec, means_seed, derive_seed(seed, _STREAM_TEST_DATA))
     return train, test
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fedimt.config import ExperimentConfig
-from fedimt.data import ClientDataset, Dataset
+from fedimt.data import ClientDataset, Dataset, SyntheticSpec
 from fedimt.federation import FlConfig
 
 
@@ -74,7 +74,7 @@ def synthetic_exp_config(
     )
     defaults = dict(
         data_source="synthetic",
-        synthetic=dict(
+        synthetic=SyntheticSpec(
             classes=classes,
             feature_dim=feature_dim,
             class_counts=list(class_counts),

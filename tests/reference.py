@@ -54,14 +54,18 @@ def reference_bursty_order(labels, run_length, rng):
     return order
 
 
-def reference_gen_synthetic(spec, seed):
-    """Draw spec.counts[q] points from N(mean_q, cluster_scale^2 I) per class."""
+def reference_gen_synthetic(spec, means_seed, seed):
+    """Draw spec.class_counts[q] points from N(mean_q, cluster_scale^2 I) per
+    class, the means of norm ~ class_separation drawn from means_seed."""
     spec.validate()
+    d = spec.feature_dim
+    means = np.random.default_rng(means_seed).normal(0.0, 1.0, (spec.classes, d))
+    means = means * (spec.class_separation / np.sqrt(d))
     rng = np.random.default_rng(seed)
     feats, labs = [], []
-    for q in range(spec.num_classes):
-        c = int(spec.counts[q])
-        feats.append(spec.means[q] + rng.normal(0.0, spec.cluster_scale, (c, spec.feature_dim)))
+    for q in range(spec.classes):
+        c = int(spec.class_counts[q])
+        feats.append(means[q] + rng.normal(0.0, spec.cluster_scale, (c, d)))
         labs.append(np.full(c, q, dtype=int))
     features = np.concatenate(feats)
     labels = np.concatenate(labs)
@@ -69,7 +73,7 @@ def reference_gen_synthetic(spec, seed):
     return Dataset(
         features=features,
         labels=labels,
-        num_classes=spec.num_classes,
+        num_classes=spec.classes,
         time_order=order,
     )
 

@@ -274,6 +274,28 @@ class TestPaperTableScripts:
             outputs.append(done.stdout)
         assert "across seeds: mean T_j" in outputs[0] and outputs[1] == outputs[0]
 
+    def test_estimation_rejects_a_one_class_task_before_the_first_run(self, tmp_path):
+        # With one class the runner tracks no ratio, so no round has a T_j to average.
+        path = tmp_path / "one.cfg"
+        path.write_text("data = synthetic\nclasses = 1\nfeature_dim = 4\nclass_counts = 60\n"
+                        "num_clients = 4\nrounds = 3\n")
+        done = run_script("estimation_benchmark.py", "--config", str(path), "--seeds", "0", "--settle", "1")
+        assert done.returncode == 1
+        assert done.stdout == ""
+        assert done.stderr == f"error: {path}: the task has one class, so there is no class ratio to estimate\n"
+
+    def test_imbalance_fedimt_arm_runs_fedimt_on_a_baseline_config(self, tmp_path):
+        # Every arm names its algorithm, so the file's algorithm changes nothing.
+        ford = (SCRIPTS.parent / "configs" / "ford_imbalance.cfg").read_text().replace("rounds = 40", "rounds = 4")
+        outputs = []
+        for algorithm in ("fedimt", "baseline"):
+            path = tmp_path / "imb.cfg"
+            path.write_text(ford.replace("algorithm = fedimt", f"algorithm = {algorithm}"))
+            done = run_script("imbalance_benchmark.py", "--config", str(path), "--seeds", "0")
+            assert done.returncode == 0, done.stderr
+            outputs.append(done.stdout)
+        assert "minority-accuracy gain over plain CE" in outputs[0] and outputs[1] == outputs[0]
+
     def test_strategy_override_checked_before_the_first_run(self, tmp_path):
         path = tmp_path / "prox.cfg"
         path.write_text(TINY + "strategy = fedprox\nprox_mu = 0.01\n")

@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from fedimt.config import SCHEMA, ConfigError, parse_config
+from fedimt.data import SyntheticSpec
 
 
 MINIMAL = """\
@@ -142,6 +143,7 @@ REJECTED = [
     ("lr = 0", "lr must be > 0"),
     ("test_fraction = 2", "test_fraction must be in (0, 1]"),
     ("shards_per_client = 0", "shards_per_client must be >= 1"),
+    ("n_latest = 4611686018427387904", "n_latest = 4611686018427387904 moves the window cursor past int64 in 8 rounds"),
     (
         f"aux_idx_labels = {__file__}",
         "aux_idx_labels is set alone: aux_idx_images and aux_idx_labels must be set together",
@@ -272,6 +274,15 @@ class TestStrictness:
         with pytest.raises(ConfigError, match="class_counts"):
             parse_config(path)
 
+    def test_counts_length_mismatch_checked_before_any_allocation(self, tmp_path):
+        # 1e9 x 1e9 class means would be 6.94 EiB; numpy refuses that size up
+        # front, so a check that drew them would fail with no key and no line.
+        big = "data = synthetic\nclasses = 1000000000\nfeature_dim = 1000000000\nclass_counts = 5,5\n"
+        path = write_cfg(tmp_path, big + "num_clients = 2\nrounds = 1\n", name="big.cfg")
+        with pytest.raises(ConfigError) as info:
+            parse_config(path)
+        assert str(info.value) == f"{path}:4: class_counts has 2 entries for 1000000000 classes"
+
     def test_synthetic_conflicts_with_idx_keys(self, tmp_path):
         path = write_cfg(tmp_path, MINIMAL + "idx_images = foo\n")
         with pytest.raises(ConfigError) as info:
@@ -373,8 +384,8 @@ class TestDataSources:
     def test_preset_fills_synthetic_params(self, tmp_path):
         text = "data = synthetic\npreset = ford\nnum_clients = 20\nrounds = 40\n"
         cfg = parse_config(write_cfg(tmp_path, text))
-        assert cfg.synthetic["classes"] == 2
-        assert cfg.synthetic["class_counts"] == [1676, 324]
+        assert cfg.synthetic.classes == 2
+        assert cfg.synthetic.class_counts == [1676, 324]
 
     def test_explicit_keys_override_preset(self, tmp_path):
         text = (
@@ -382,7 +393,7 @@ class TestDataSources:
             "num_clients = 4\nrounds = 2\n"
         )
         cfg = parse_config(write_cfg(tmp_path, text))
-        assert cfg.synthetic["class_counts"] == [100, 100]
+        assert cfg.synthetic.class_counts == [100, 100]
 
     def test_unknown_preset(self, tmp_path):
         text = "data = synthetic\npreset = cifar\nnum_clients = 4\nrounds = 2\n"
@@ -415,7 +426,7 @@ class TestCodeBuiltConfig:
                 "class_counts hold 19 samples, too few for num_clients x shards_per_client = 20 shards",
             ),
             (
-                dict(synthetic=dict(classes=2, feature_dim=3, class_counts=[30, 30], run_length=0)),
+                dict(synthetic=SyntheticSpec(classes=2, feature_dim=3, class_counts=[30, 30], run_length=0)),
                 "run_length must be >= 1",
             ),
             (dict(synthetic=None), "data = synthetic needs keys ['classes', 'feature_dim', 'class_counts']"),
@@ -441,6 +452,38 @@ class TestCodeBuiltConfig:
         assert str(info.value) == message
 
 
+def workload_config_text(monkeypatch, name):
+    """A fedbench workload's config, from fedbench/workloads.py loaded
+    without writing a cache beside it."""
+    import importlib.util
+    import sys
+
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    path = Path(__file__).resolve().parent.parent / "fedbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("fedbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module.config_text(name, seed=0)
+
+
+SYNTHETIC_CONFIGS = ["estimation_10class", "ford_imbalance", "har_nlatest", "tenclass_train", "manyclass_server"]
+
+
+@pytest.mark.parametrize("name", SYNTHETIC_CONFIGS)
+def test_parsing_a_synthetic_config_draws_nothing(tmp_path, monkeypatch, name):
+    path = Path("configs") / f"{name}.cfg"
+    if not path.exists():  # a benchmark workload
+        path = Path(write_cfg(tmp_path, workload_config_text(monkeypatch, name)))
+
+    def drawn(*args, **kwargs):
+        raise AssertionError("random numbers drawn while parsing a config")
+
+    monkeypatch.setattr("numpy.random.default_rng", drawn)
+    cfg = parse_config(str(path))
+    assert cfg.data_source == "synthetic" and isinstance(cfg.synthetic, SyntheticSpec)
+
+
 class TestShippedConfigs:
     def test_estimation_protocol(self):
         cfg = parse_config("configs/estimation_10class.cfg")
@@ -449,7 +492,7 @@ class TestShippedConfigs:
         assert cfg.fl.selection_rate == 0.3
         assert cfg.fl.local_epochs == 5
         assert cfg.fl.momentum == 0.0
-        assert cfg.synthetic["classes"] == 10
+        assert cfg.synthetic.classes == 10
         assert cfg.seeds == [0, 1, 2]
         assert cfg.aux_per_class == 128
 
@@ -457,7 +500,7 @@ class TestShippedConfigs:
         cfg = parse_config("configs/ford_imbalance.cfg")
         assert cfg.fl.num_clients == 20
         assert cfg.fl.rounds == 40
-        assert cfg.synthetic["class_counts"] == [1676, 324]
+        assert cfg.synthetic.class_counts == [1676, 324]
         minority_share = 324 / 2000
         assert minority_share == pytest.approx(0.162)
 

@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 from fedimt.data import (
     PRESETS,
     Dataset,
+    SyntheticSpec,
     _bursty_order,
     gen_synthetic,
     load_idx,
-    make_synthetic_spec,
     sample_auxiliary,
     shard_partition,
     window_latest,
@@ -35,19 +35,16 @@ MANYCLASS = dict(
 
 class TestGenSynthetic:
     def test_exact_class_counts(self):
-        spec = make_synthetic_spec(3, 4, [50, 20, 30], seed=1)
-        ds = gen_synthetic(spec, seed=2)
+        ds = gen_synthetic(SyntheticSpec(3, 4, [50, 20, 30]), means_seed=1, seed=2)
         np.testing.assert_array_equal(ds.class_counts(), [50, 20, 30])
         check_dataset(ds)
 
     def test_ford_style_imbalance(self):
-        spec = make_synthetic_spec(2, 4, [84, 16], seed=1)
-        ds = gen_synthetic(spec, seed=2)
+        ds = gen_synthetic(SyntheticSpec(2, 4, [84, 16]), means_seed=1, seed=2)
         assert ds.class_counts()[1] / len(ds) == pytest.approx(0.16)
 
     def test_run_length_one_is_uniform_shuffle(self):
-        spec = make_synthetic_spec(2, 3, [40, 40], run_length=1, seed=0)
-        ds = gen_synthetic(spec, seed=5)
+        ds = gen_synthetic(SyntheticSpec(2, 3, [40, 40], run_length=1), means_seed=0, seed=5)
         assert sorted(ds.time_order.tolist()) == list(range(80))
         # a shuffle should interleave the two classes heavily
         arrival_labels = ds.labels[ds.time_order]
@@ -55,50 +52,50 @@ class TestGenSynthetic:
         assert switches > 20
 
     def test_bursty_arrivals_cluster(self):
-        base = make_synthetic_spec(2, 3, [200, 200], run_length=1, seed=0)
-        bursty = make_synthetic_spec(2, 3, [200, 200], run_length=16, seed=0)
+        base = SyntheticSpec(2, 3, [200, 200], run_length=1)
+        bursty = SyntheticSpec(2, 3, [200, 200], run_length=16)
         switches = {}
         for name, spec in (("shuffle", base), ("bursty", bursty)):
-            ds = gen_synthetic(spec, seed=7)
+            ds = gen_synthetic(spec, means_seed=0, seed=7)
             arrival = ds.labels[ds.time_order]
             switches[name] = int(np.sum(arrival[1:] != arrival[:-1]))
         assert switches["bursty"] < switches["shuffle"] / 2
 
     def test_deterministic(self):
-        spec = make_synthetic_spec(3, 4, [10, 10, 10], run_length=4, seed=3)
-        a = gen_synthetic(spec, seed=9)
-        b = gen_synthetic(spec, seed=9)
+        spec = SyntheticSpec(3, 4, [10, 10, 10], run_length=4)
+        a = gen_synthetic(spec, means_seed=3, seed=9)
+        b = gen_synthetic(spec, means_seed=3, seed=9)
         np.testing.assert_array_equal(a.features, b.features)
         np.testing.assert_array_equal(a.time_order, b.time_order)
 
     def test_zero_total_rejected(self):
-        spec = make_synthetic_spec(2, 3, [0, 0], seed=0)
+        spec = SyntheticSpec(2, 3, [0, 0])
         with pytest.raises(ValueError):
-            gen_synthetic(spec, seed=0)
+            gen_synthetic(spec, means_seed=0, seed=0)
 
     def test_negative_cluster_scale_rejected(self):
-        spec = make_synthetic_spec(2, 3, [5, 5], cluster_scale=-1.0, seed=0)
+        spec = SyntheticSpec(2, 3, [5, 5], cluster_scale=-1.0)
         with pytest.raises(ValueError, match="cluster_scale"):
-            gen_synthetic(spec, seed=0)
+            gen_synthetic(spec, means_seed=0, seed=0)
 
     def test_class_counts_length_must_match_classes(self):
-        spec = make_synthetic_spec(3, 4, [1, 2])
+        spec = SyntheticSpec(3, 4, [1, 2])
         with pytest.raises(ValueError, match="class_counts has 2 entries for 3 classes"):
-            gen_synthetic(spec, 0)
+            gen_synthetic(spec, 0, 0)
 
     def test_adds_means_without_a_features_sized_temporary(self):
-        spec = make_synthetic_spec(40, 64, [300] * 40, seed=0)
+        spec = SyntheticSpec(40, 64, [300] * 40)
         tracemalloc.start()
         try:
-            ds = gen_synthetic(spec, seed=1)
+            ds = gen_synthetic(spec, means_seed=0, seed=1)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 1.25 * ds.features.nbytes
 
     def test_presets_have_generator_params(self):
-        for name, params in PRESETS.items():
-            assert len(params["class_counts"]) == params["classes"], name
+        for params in PRESETS.values():
+            SyntheticSpec(**params).validate()
 
 
 @st.composite
@@ -134,8 +131,8 @@ class TestGeneratorMatchesReference:
     @pytest.mark.parametrize("params", [*PRESETS.values(), MANYCLASS], ids=[*PRESETS, "manyclass"])
     @pytest.mark.parametrize("seed", [0, 1007])
     def test_gen_synthetic_matches_per_class_draws(self, params, seed):
-        spec = make_synthetic_spec(**params, seed=seed)
-        got, want = gen_synthetic(spec, seed + 1), reference_gen_synthetic(spec, seed + 1)
+        spec = SyntheticSpec(**params)
+        got, want = gen_synthetic(spec, seed, seed + 1), reference_gen_synthetic(spec, seed, seed + 1)
         for name in ("features", "labels", "time_order"):
             a, b = getattr(got, name), getattr(want, name)
             assert np.array_equal(a, b) and a.dtype == b.dtype, name
@@ -209,8 +206,7 @@ class TestIdx:
 
 class TestShardPartition:
     def make_ds(self, per_class=60, classes=5):
-        spec = make_synthetic_spec(classes, 3, [per_class] * classes, seed=0)
-        return gen_synthetic(spec, seed=1)
+        return gen_synthetic(SyntheticSpec(classes, 3, [per_class] * classes), means_seed=0, seed=1)
 
     def test_disjoint_and_exhaustive(self):
         ds = self.make_ds()
@@ -364,8 +360,7 @@ class TestWindowLatest:
 
 class TestSampleAuxiliary:
     def test_counts_and_determinism(self):
-        spec = make_synthetic_spec(10, 4, [30] * 10, seed=0)
-        ds = gen_synthetic(spec, seed=1)
+        ds = gen_synthetic(SyntheticSpec(10, 4, [30] * 10), means_seed=0, seed=1)
         aux = sample_auxiliary(ds, per_class_count=128, seed=9)
         assert aux.num_classes == 10
         np.testing.assert_array_equal(aux.per_class_count, [128] * 10)
@@ -385,8 +380,7 @@ class TestSampleAuxiliary:
             sample_auxiliary(ds, per_class_count=4, seed=0)
 
     def test_samples_come_from_right_class(self):
-        spec = make_synthetic_spec(3, 4, [20, 20, 20], class_separation=50.0, seed=2)
-        ds = gen_synthetic(spec, seed=3)
+        ds = gen_synthetic(SyntheticSpec(3, 4, [20, 20, 20], class_separation=50.0), means_seed=2, seed=3)
         aux = sample_auxiliary(ds, per_class_count=6, seed=4)
         for q, feats in enumerate(aux.class_features):
             pool = ds.features[ds.labels == q]

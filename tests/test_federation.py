@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import fedimt.federation as federation
-from fedimt.data import AuxiliarySet, gen_synthetic, make_synthetic_spec
+from fedimt.data import AuxiliarySet, SyntheticSpec, gen_synthetic
 from fedimt.estimator import counts_to_ratio, oracle_counts
 from fedimt.federation import (
     _STREAM_CLIENT,
@@ -414,21 +414,19 @@ class TestRunner:
         assert scores[0.9]["mean_T_G"] > 0.8
 
     def test_external_auxiliary_files(self, tiny_config, tmp_path):
-        from fedimt.data import gen_synthetic, make_synthetic_spec, write_idx
+        from fedimt.data import write_idx
 
-        params = tiny_config.synthetic
-        spec = make_synthetic_spec(
-            params["classes"], params["feature_dim"], [6] * params["classes"], seed=99
-        )
-        aux_ds = gen_synthetic(spec, seed=99)
+        classes = tiny_config.synthetic.classes
+        spec = SyntheticSpec(classes, tiny_config.synthetic.feature_dim, [6] * classes)
+        aux_ds = gen_synthetic(spec, means_seed=99, seed=99)
         aux_ds.features = np.clip(aux_ds.features, 0.0, 1.0)
         img, lab = str(tmp_path / "aux_i"), str(tmp_path / "aux_l")
         write_idx(aux_ds, img, lab)
         tiny_config.aux_idx_images = img
         tiny_config.aux_idx_labels = lab
         runner = build_runner(tiny_config, seed=0)
-        assert runner.aux.num_classes == params["classes"]
-        np.testing.assert_array_equal(runner.aux.per_class_count, [6] * params["classes"])
+        assert runner.aux.num_classes == classes
+        np.testing.assert_array_equal(runner.aux.per_class_count, [6] * classes)
 
 
 class TestMinorityClasses:
@@ -461,13 +459,15 @@ class TestBuildDatasets:
         """The test split is drawn without a burst order; its features and
         labels are those of the same spec with its own run_length."""
         config = synthetic_exp_config()
-        spec = make_synthetic_spec(**config.synthetic, seed=derive_seed(3, _STREAM_MEANS))
+        spec = config.synthetic
         assert spec.run_length > 1
         _, test = _build_datasets(config, 3)
-        test_counts = np.bincount(test.labels, minlength=spec.num_classes)
+        test_counts = np.bincount(test.labels, minlength=spec.classes)
         np.testing.assert_array_equal(test_counts, [25, 15, 10, 20])
         want = gen_synthetic(
-            replace(spec, counts=test_counts), derive_seed(3, _STREAM_TEST_DATA)
+            replace(spec, class_counts=test_counts),
+            derive_seed(3, _STREAM_MEANS),
+            derive_seed(3, _STREAM_TEST_DATA),
         )
         np.testing.assert_array_equal(test.features, want.features)
         np.testing.assert_array_equal(test.labels, want.labels)
@@ -489,6 +489,17 @@ class TestConfigValidation:
     def test_bad_baseline_loss(self):
         with pytest.raises(ValueError):
             FlConfig(num_clients=4, rounds=1, baseline_loss="ghmc").validate()
+
+    # (rounds, the largest n_latest whose last cursor, n_latest + (rounds - 1)
+    # * max(1, n_latest // 2), is at most 2**63 - 1); for 4 rounds n + 3 * (n // 2)
+    # is 2**63 - 2 at n = 3689348814741910323 and 2**63 + 2 one above.
+    @pytest.mark.parametrize("rounds, largest", [(0, 2**63 - 1), (1, 2**63 - 1), (4, 3689348814741910323)])
+    def test_n_latest_whose_last_window_cursor_leaves_int64_rejected(self, rounds, largest):
+        FlConfig(num_clients=4, rounds=rounds, n_latest=largest).validate()
+        positions = federation.window_positions([5, 3], largest, max(rounds - 1, 0))
+        assert sorted(positions.tolist()) == list(range(8))
+        with pytest.raises(ValueError, match=rf"^n_latest = {largest + 1} "):
+            FlConfig(num_clients=4, rounds=rounds, n_latest=largest + 1).validate()
 
     @pytest.mark.parametrize(
         "validate, name",
