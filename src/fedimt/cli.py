@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from .config import ConfigError, ExperimentConfig, int_list, parse_config
-from .data import write_idx
+from .data import write_file, write_idx
 from .federation import _build_datasets, derive_seed, run_experiment
 from .metrics import SUMMARY_FLOATS, write_metrics
 
@@ -103,9 +103,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     }
     agg_path = os.path.splitext(json_base)[0] + "_sweep.json"
     _ensure_parent(agg_path)
-    with open(agg_path, "w", encoding="utf-8") as f:
-        json.dump(aggregate, f, indent=2, sort_keys=True)
-        f.write("\n")
+    text = json.dumps(aggregate, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    write_file(agg_path, text.encode("utf-8"))
     print(f"wrote aggregate {agg_path}")
     return 0
 

@@ -7,6 +7,8 @@ sliding latest-sample windows, and server-side auxiliary probe sets.
 
 from __future__ import annotations
 
+import os
+import stat
 import struct
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -17,6 +19,7 @@ import numpy as np
 
 Array = np.ndarray
 
+MAX_DRAW_VALUES = 2**31  # a synthetic draw's features; 16 GiB as float64
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
 
@@ -90,6 +93,9 @@ class SyntheticSpec:
             raise ValueError("class_counts must contain at least one sample")
         if self.run_length < 1:
             raise ValueError("run_length must be >= 1")
+        values = sum(counts) * self.feature_dim
+        if values > MAX_DRAW_VALUES:
+            raise ValueError(f"class_counts times feature_dim is {values}, over the limit {MAX_DRAW_VALUES}")
 
 
 def _bursty_order(labels: Array, run_length: int, rng: np.random.Generator) -> Array:
@@ -191,12 +197,21 @@ def write_idx(dataset: Dataset, images_path: str, labels_path: str) -> None:
     if dataset.labels.min(initial=0) < 0 or dataset.labels.max(initial=0) > 255:
         raise ValueError(f"{labels_path}: IDX labels are ubytes, so they must lie in [0, 255]")
     pixels = np.clip(np.rint(dataset.features * 255.0), 0, 255).astype(np.uint8)
-    with open(images_path, "wb") as f:
-        f.write(struct.pack(">iiii", IDX_IMAGE_MAGIC, n, 1, d))
-        f.write(pixels.tobytes())
-    with open(labels_path, "wb") as f:
-        f.write(struct.pack(">ii", IDX_LABEL_MAGIC, n))
-        f.write(dataset.labels.astype(np.uint8).tobytes())
+    write_file(images_path, struct.pack(">iiii", IDX_IMAGE_MAGIC, n, 1, d) + pixels.tobytes())
+    labels = dataset.labels.astype(np.uint8)
+    write_file(labels_path, struct.pack(">ii", IDX_LABEL_MAGIC, n) + labels.tobytes())
+
+
+def write_file(path: str, data: bytes) -> None:
+    """Make data the whole content of the file at path; every file fedimt
+    writes goes through here. An existing file is overwritten from offset 0
+    and cut to len(data), never truncated to zero on open, which can stall
+    for tens of ms on ext4. So it keeps its inode, mode and hard links, a
+    symlink is written through, and a device such as /dev/null is not cut."""
+    with open(path, "wb", opener=lambda at, flags: os.open(at, flags & ~os.O_TRUNC, 0o666)) as f:
+        f.write(data)
+        if stat.S_ISREG(os.fstat(f.fileno()).st_mode):
+            f.truncate()
 
 
 def shard_partition(

@@ -18,6 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .data import write_file
 from .nn import Array, MlpModel, forward
 
 
@@ -370,8 +371,7 @@ def write_metrics(report, csv_path: str, json_path: str) -> None:
     csv_text = "\n".join(report_csv_lines(report)) + "\n"
     for kind, path, text in (("CSV", csv_path, csv_text), ("JSON", json_path, json_text)):
         try:
-            with open(path, "w", encoding="utf-8", newline="") as f:
-                f.write(text)
+            write_file(path, text.encode("utf-8"))
         except OSError as exc:
             raise OSError(f"cannot write {kind} to {path}: {exc}") from exc
 

@@ -1,9 +1,26 @@
+import os
+
 import numpy as np
 import pytest
 
 from fedimt.config import ExperimentConfig
 from fedimt.data import ClientDataset, Dataset, SyntheticSpec
 from fedimt.federation import FlConfig
+
+
+@pytest.fixture
+def write_opens(monkeypatch):
+    """Every os.open call that opens a path for writing, as (path, flags)."""
+    calls = []
+    real_open = os.open
+
+    def spy(path, flags, *args, **kwargs):
+        if flags & (os.O_WRONLY | os.O_RDWR):
+            calls.append((os.fspath(path), flags))
+        return real_open(path, flags, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", spy)
+    return calls
 
 
 def make_dataset(features, labels, num_classes=None, time_order=None):

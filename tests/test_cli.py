@@ -10,6 +10,7 @@ import pytest
 from fedimt.cli import cli_main
 from fedimt.data import load_idx
 from fedimt.federation import run_experiment
+from fedimt.metrics import SUMMARY_FLOATS
 
 TINY = """\
 data = synthetic
@@ -138,6 +139,28 @@ class TestRun:
         assert err == f"error: cannot write JSON to {json_path}: records[2].T_j is not finite\n"
         assert not json_path.exists() and not (tmp_path / "out/tiny.csv").exists()
 
+    def test_shorter_run_over_the_same_paths_writes_its_own_bytes(self, tmp_path, monkeypatch):
+        outputs = {}
+        for name, rounds, out in (("three", 3, "shared"), ("one", 1, "shared"), ("fresh", 1, "fresh")):
+            path = tmp_path / f"{rounds}.cfg"
+            path.write_text(TINY.replace("rounds = 3", f"rounds = {rounds}") + "csv_path = r.csv\njson_path = r.json\n")
+            (tmp_path / out).mkdir(exist_ok=True)
+            monkeypatch.chdir(tmp_path / out)
+            assert cli_main(["run", "--config", str(path)]) == 0
+            outputs[name] = [(tmp_path / out / f"r.{ext}").read_bytes() for ext in ("csv", "json")]
+        assert outputs["one"] == outputs["fresh"]
+        assert all(len(a) < len(b) for a, b in zip(outputs["one"], outputs["three"]))
+
+    def test_every_output_opened_without_truncation(self, tiny_cfg_path, tmp_path, write_opens):
+        assert cli_main(["run", "--config", tiny_cfg_path]) == 0
+        assert cli_main(["sweep", "--config", tiny_cfg_path, "--seeds", "0"]) == 0
+        img, lab = str(tmp_path / "gen_img"), str(tmp_path / "gen_lab")
+        assert cli_main(["gen-data", "--config", tiny_cfg_path, "--images", img, "--labels", lab]) == 0
+        out = tmp_path / "out"
+        names = ("tiny.csv", "tiny.json", "tiny_s0.csv", "tiny_s0.json", "tiny_sweep.json")
+        assert [p for p, _ in write_opens] == [str(out / name) for name in names] + [img, lab]
+        assert not any(flags & os.O_TRUNC for _, flags in write_opens)
+
     def test_memory_error_is_one_line(self, tiny_cfg_path, capsys, monkeypatch):
         def oversized(*args, **kwargs):
             raise MemoryError("Unable to allocate 572. GiB for an array with shape (8, 76800000000)")
@@ -190,6 +213,24 @@ class TestSweep:
                 )
             )
         assert blobs[0] == blobs[1]
+
+    def test_aggregate_rewritten_as_json_dump_wrote_it(self, tiny_cfg_path, tmp_path):
+        # The reference is the aggregate as json.dump streamed it into a truncated file.
+        agg_path = tmp_path / "out/tiny_sweep.json"
+        for seeds in ([0, 1], [0, 1, 2], [2]):  # over a longer file, then a shorter one
+            assert cli_main(["sweep", "--config", tiny_cfg_path, "--seeds", ",".join(map(str, seeds))]) == 0
+            per_seed = {str(s): json.loads((tmp_path / f"out/tiny_s{s}.json").read_text())["summary"] for s in seeds}
+            means = {key: [summary[key] for summary in per_seed.values()] for key in SUMMARY_FLOATS}
+            aggregate = {
+                "seeds": seeds,
+                "per_seed": per_seed,
+                "mean": {key: float(np.mean(v)) for key, v in means.items() if None not in v},
+            }
+            reference = tmp_path / "reference.json"
+            with open(reference, "w", encoding="utf-8") as f:
+                json.dump(aggregate, f, indent=2, sort_keys=True)
+                f.write("\n")
+            assert agg_path.read_bytes() == reference.read_bytes()
 
     @pytest.mark.parametrize("seeds", ["0,x", ",", "0,,1"])
     def test_non_integer_seed_is_a_usage_error(self, tiny_cfg_path, tmp_path, capsys, seeds):

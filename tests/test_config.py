@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -282,6 +283,23 @@ class TestStrictness:
         with pytest.raises(ConfigError) as info:
             parse_config(path)
         assert str(info.value) == f"{path}:4: class_counts has 2 entries for 1000000000 classes"
+
+    def test_draw_too_large_to_allocate_named_at_its_line(self, tmp_path):
+        # 1e12 samples x 4 features would be 29.1 TiB: checking the config
+        # names the key and the line, and allocates next to nothing.
+        huge = "data = synthetic\nclasses = 2\nfeature_dim = 4\nclass_counts = 1000000000000,1\n"
+        path = write_cfg(tmp_path, huge + "num_clients = 2\nrounds = 1\n", name="huge.cfg")
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError) as info:
+                parse_config(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert str(info.value) == (
+            f"{path}:4: class_counts times feature_dim is 4000000000004, over the limit 2147483648"
+        )
+        assert peak < 1_000_000
 
     def test_synthetic_conflicts_with_idx_keys(self, tmp_path):
         path = write_cfg(tmp_path, MINIMAL + "idx_images = foo\n")

@@ -1,3 +1,4 @@
+import os
 import tracemalloc
 
 import numpy as np
@@ -16,6 +17,7 @@ from fedimt.data import (
     shard_partition,
     window_latest,
     window_positions,
+    write_file,
     write_idx,
 )
 from conftest import check_dataset, make_client, make_dataset
@@ -92,6 +94,12 @@ class TestGenSynthetic:
         finally:
             tracemalloc.stop()
         assert peak < 1.25 * ds.features.nbytes
+
+    def test_draw_size_bounded_without_drawing(self):
+        SyntheticSpec(2, 4, [2**29, 0]).validate()  # exactly 2**31 values
+        with pytest.raises(ValueError) as info:
+            SyntheticSpec(2, 4, [2**29, 1]).validate()
+        assert str(info.value) == "class_counts times feature_dim is 2147483652, over the limit 2147483648"
 
     def test_presets_have_generator_params(self):
         for params in PRESETS.values():
@@ -202,6 +210,61 @@ class TestIdx:
         files[which].write_bytes(raw[:extra] if extra < 0 else raw + bytes(extra))
         with pytest.raises(ValueError, match=f"{which}.idx: {message}$"):
             load_idx(str(files["img"]), str(files["lab"]))
+
+    def test_rewrites_longer_and_shorter_files_exactly(self, tmp_path):
+        rng = np.random.default_rng(1)
+        small = make_dataset(rng.random((3, 2)), [0, 1, 1], num_classes=2)
+        large = make_dataset(rng.random((40, 9)), rng.integers(0, 4, 40), num_classes=4)
+        fresh = {}
+        for name, ds in (("small", small), ("large", large)):
+            write_idx(ds, str(tmp_path / f"{name}_img"), str(tmp_path / f"{name}_lab"))
+            fresh[name] = [(tmp_path / f"{name}_{kind}").read_bytes() for kind in ("img", "lab")]
+        img, lab = tmp_path / "img", tmp_path / "lab"
+        for name in ("large", "small", "large"):  # over a shorter file, then a longer one
+            write_idx(large if name == "large" else small, str(img), str(lab))
+            assert [img.read_bytes(), lab.read_bytes()] == fresh[name]
+
+
+class TestWriteFile:
+    def test_rewrites_longer_and_shorter_files_exactly(self, tmp_path):
+        path = tmp_path / "out"
+        for data in (b"a much longer first text\n", b"short\n", b"", b"longer again\n"):
+            write_file(str(path), data)
+            assert path.read_bytes() == data
+
+    def test_rewrites_in_place(self, tmp_path):
+        path, link = tmp_path / "out", tmp_path / "link"
+        write_file(str(path), b"first, longer\n")
+        assert os.stat(path).st_mode & 0o777 == 0o666 & ~current_umask()
+        os.chmod(path, 0o600)
+        os.link(path, tmp_path / "hard")
+        link.symlink_to(path)
+        before = os.stat(path)
+        write_file(str(link), b"second\n")
+        after = os.stat(path)
+        assert link.is_symlink() and path.read_bytes() == b"second\n"
+        assert (after.st_ino, after.st_mode, after.st_nlink) == (before.st_ino, before.st_mode, 2)
+        assert (tmp_path / "hard").read_bytes() == b"second\n"
+
+    def test_never_truncates_on_open(self, tmp_path, write_opens):
+        path = str(tmp_path / "out")
+        write_file(path, b"one\n")
+        write_file(path, b"two\n")
+        ds = make_dataset(np.zeros((2, 2)), [0, 1], num_classes=2)
+        write_idx(ds, str(tmp_path / "img"), str(tmp_path / "lab"))
+        assert [p for p, _ in write_opens] == [path, path, str(tmp_path / "img"), str(tmp_path / "lab")]
+        assert not any(flags & os.O_TRUNC for _, flags in write_opens)
+
+    @pytest.mark.parametrize("where", [".", "no/such/dir/out"])
+    def test_directory_or_missing_parent_raises_oserror(self, tmp_path, where):
+        with pytest.raises(OSError):
+            write_file(str(tmp_path / where), b"x")
+
+
+def current_umask() -> int:
+    mask = os.umask(0)
+    os.umask(mask)
+    return mask
 
 
 class TestShardPartition:

@@ -1,5 +1,6 @@
 import json
-from dataclasses import fields
+import os
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -203,6 +204,40 @@ class TestWriteMetrics:
             write_metrics(report, csv_path, json_path)
         assert str(info.value) == f"cannot write JSON to {json_path}: records[3].T_j is not finite"
         assert list(tmp_path.iterdir()) == []
+
+    def test_non_finite_value_leaves_existing_files_as_they_were(self, report, tmp_path):
+        csv_path, json_path = tmp_path / "r.csv", tmp_path / "r.json"
+        write_metrics(report, str(csv_path), str(json_path))
+        before = csv_path.read_bytes(), json_path.read_bytes()
+        report.records[3].train_loss = float("inf")
+        with pytest.raises(ValueError, match="records\\[3\\].loss is not finite"):
+            write_metrics(report, str(csv_path), str(json_path))
+        assert (csv_path.read_bytes(), json_path.read_bytes()) == before
+
+    def test_rewrites_longer_and_shorter_reports_in_place(self, report, tiny_config, tmp_path):
+        longer = run_experiment(replace(tiny_config, fl=replace(tiny_config.fl, rounds=6)), seed=4)
+        fresh = {}
+        for name, rep in (("short", report), ("long", longer)):
+            write_metrics(rep, str(tmp_path / f"{name}.csv"), str(tmp_path / f"{name}.json"))
+            fresh[name] = (tmp_path / f"{name}.csv").read_bytes(), (tmp_path / f"{name}.json").read_bytes()
+        assert all(len(a) < len(b) for a, b in zip(fresh["short"], fresh["long"]))
+        csv_path, json_path = tmp_path / "r.csv", tmp_path / "r.json"
+        write_metrics(longer, str(csv_path), str(json_path))
+        inodes = os.stat(csv_path).st_ino, os.stat(json_path).st_ino
+        for name, rep in (("short", report), ("long", longer)):
+            write_metrics(rep, str(csv_path), str(json_path))
+            assert (csv_path.read_bytes(), json_path.read_bytes()) == fresh[name]
+        assert (os.stat(csv_path).st_ino, os.stat(json_path).st_ino) == inodes
+
+    def test_writes_to_a_device(self, report):
+        write_metrics(report, os.devnull, os.devnull)
+
+    def test_opens_each_file_without_truncating(self, report, tmp_path, write_opens):
+        paths = str(tmp_path / "r.csv"), str(tmp_path / "r.json")
+        write_metrics(report, *paths)
+        write_metrics(report, *paths)
+        assert [p for p, _ in write_opens] == [*paths, *paths]
+        assert not any(flags & os.O_TRUNC for _, flags in write_opens)
 
     def test_json_is_valid_and_sorted(self, report, tmp_path):
         csv_path, json_path = str(tmp_path / "r.csv"), str(tmp_path / "r.json")
